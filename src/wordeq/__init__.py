@@ -37,7 +37,6 @@ from .genpoly import (
     minor_t,
     parse_genpoly,
     s_polynomial,
-    substitute,
 )
 from .oracle import (
     EnumerationBudget,
@@ -78,7 +77,6 @@ from .words import (
     combinatorial_rank,
     commute_check,
     is_periodic,
-    length_type_of,
     morphism_to_text,
     parse_morphism,
     parse_word,

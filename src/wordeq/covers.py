@@ -442,7 +442,7 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
     sets = [set(tuple(tuple(w.letters) for w in h.images) for h in current)]
     strict = []
     for eq in equations[1:]:
-        kept = {imgs for imgs in sets[-1] if _images_solve(imgs, eq)}
+        kept = {imgs for imgs in sets[-1] if eq.solved_by(imgs)}
         strict.append(kept < sets[-1])
         sets.append(kept)
     realized = 1
@@ -478,12 +478,3 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
         report["bound_checked"] = False
     return report
 
-
-def _images_solve(images: tuple[tuple[int, ...], ...], eq: Equation) -> bool:
-    left: list[int] = []
-    for x in eq.lhs:
-        left.extend(images[x - 1])
-    right: list[int] = []
-    for x in eq.rhs:
-        right.extend(images[x - 1])
-    return left == right

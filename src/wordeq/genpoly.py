@@ -209,11 +209,6 @@ class GenPoly:
         return f"GenPoly({self.to_text()!r})"
 
 
-def substitute(g: GenPoly, point) -> IntPolynomial:
-    """Module-level alias for GenPoly.substitute."""
-    return g.substitute(point)
-
-
 def s_polynomial(eq: Equation, x: int) -> GenPoly:
     """Positional coefficient of an unknown with symbolic prefix lengths.
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .equations import Equation
@@ -23,8 +21,6 @@ from .words import (
     combinatorial_rank,
     words_of_length,
 )
-
-WORKERS_ENV = "WORDEQ_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -118,51 +114,40 @@ class SolutionSet:
         return "\n".join(lines)
 
 
-def _solve_length_types(system, n, alphabet, length_types):
-    """Solutions (as image tuples) and candidate count for a batch of length types."""
-    sides = [(eq.lhs, eq.rhs) for eq in system]
-    found = []
-    visited = 0
-    word_cache: dict[int, list[tuple[int, ...]]] = {}
-    for lt in length_types:
-        # a mismatch of side lengths at this length type rules out every candidate
-        feasible = True
-        for lhs, rhs in sides:
-            if sum(lt[x - 1] for x in lhs) != sum(lt[x - 1] for x in rhs):
-                feasible = False
+def solutions_of_length_type(system, lt, alphabet, word_cache=None):
+    """Image tuples of one length type solving every equation, in enumeration order.
+
+    Images are letter tuples, one per unknown.  When some equation's two
+    sides differ in length at this length type nothing is scanned.
+    ``word_cache`` maps an image length to its words and may be shared
+    between calls with the same alphabet.
+    """
+    for eq in system:
+        if sum(lt[x - 1] for x in eq.lhs) != sum(lt[x - 1] for x in eq.rhs):
+            return
+    if word_cache is None:
+        word_cache = {}
+    pools = []
+    for k in lt:
+        if k not in word_cache:
+            word_cache[k] = list(words_of_length(alphabet, k))
+        pools.append(word_cache[k])
+    # bound methods and for/else: all() over a generator is measurably slower here
+    checks = [eq.solved_by for eq in system]
+    for images in itertools.product(*pools):
+        for solved in checks:
+            if not solved(images):
                 break
-        pools = []
-        for k in lt:
-            if k not in word_cache:
-                word_cache[k] = list(words_of_length(alphabet, k))
-            pools.append(word_cache[k])
-        for images in itertools.product(*pools):
-            visited += 1
-            if not feasible:
-                continue
-            ok = True
-            for lhs, rhs in sides:
-                left: list[int] = []
-                for x in lhs:
-                    left.extend(images[x - 1])
-                right: list[int] = []
-                for x in rhs:
-                    right.extend(images[x - 1])
-                if left != right:
-                    ok = False
-                    break
-            if ok:
-                found.append(images)
-    return found, visited
+        else:
+            yield images
 
 
 def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None) -> SolutionSet:
     """All morphisms within the budget solving every equation of the system.
 
     An empty system needs an explicit unknown count and is solved by
-    every morphism.  The worker count comes from the WORDEQ_WORKERS
-    environment variable (default 1); partitioning is by length type and
-    the merged result is sorted, so it does not depend on the schedule.
+    every morphism.  Every length type counts its full candidate set as
+    visited, including the ones ruled out by side lengths without a scan.
     """
     system = tuple(system)
     if system:
@@ -171,30 +156,18 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
             raise ValueError("equations disagree on the number of unknowns")
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
-    lts = list(length_types_up_to(n, budget.max_total_length))
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers > 1 and len(lts) > 1:
-        chunks = [lts[i::workers] for i in range(workers)]
-        found: list = []
-        visited = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, count in pool.map(
-                _solve_chunk, [(system, n, budget.alphabet, chunk) for chunk in chunks]
-            ):
-                found.extend(part)
-                visited += count
-    else:
-        found, visited = _solve_length_types(system, n, budget.alphabet, lts)
+    found = []
+    visited = 0
+    word_cache: dict[int, list[tuple[int, ...]]] = {}
+    size = len(budget.alphabet)
+    for lt in length_types_up_to(n, budget.max_total_length):
+        visited += size ** sum(lt)
+        found.extend(solutions_of_length_type(system, lt, budget.alphabet, word_cache))
     found.sort(key=lambda images: (tuple(len(w) for w in images), images))
     solutions = tuple(Morphism(tuple(Word(w) for w in images)) for images in found)
     return SolutionSet(
         system=system, n=n, budget=budget, solutions=solutions, candidates_visited=visited
     )
-
-
-def _solve_chunk(args):
-    system, n, alphabet, lts = args
-    return _solve_length_types(system, n, alphabet, lts)
 
 
 def rank_annotate(solset: SolutionSet, cap: int | None = None) -> SolutionSet:
@@ -215,15 +188,9 @@ def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
     """First morphism within budget solving the subsystem but not the omitted equation."""
     word_cache: dict[int, list[tuple[int, ...]]] = {}
     for lt in length_types_up_to(n, budget.max_total_length):
-        pools = []
-        for k in lt:
-            if k not in word_cache:
-                word_cache[k] = list(words_of_length(budget.alphabet, k))
-            pools.append(word_cache[k])
-        for images in itertools.product(*pools):
-            h = Morphism(tuple(Word(w) for w in images))
-            if all(eq.holds_for(h) for eq in subsystem) and not omitted.holds_for(h):
-                return h
+        for images in solutions_of_length_type(subsystem, lt, budget.alphabet, word_cache):
+            if not omitted.solved_by(images):
+                return Morphism(tuple(Word(w) for w in images))
     return None
 
 

@@ -17,14 +17,12 @@ from math import gcd
 from .errors import InputFormatError, TheoremCheckError
 from .words import Word, primitive_root
 
-NEG_INFINITY = float("-inf")
-
 
 class IntPolynomial:
     """Sparse polynomial with arbitrary-precision integer coefficients.
 
     Stored as a map degree -> nonzero coefficient; the zero polynomial is
-    the empty map and has degree -infinity.
+    the empty map and has degree -1, below every real degree.
     """
 
     __slots__ = ("_coeffs",)
@@ -66,8 +64,8 @@ class IntPolynomial:
         return not self._coeffs
 
     @property
-    def degree(self):
-        return max(self._coeffs) if self._coeffs else NEG_INFINITY
+    def degree(self) -> int:
+        return max(self._coeffs) if self._coeffs else -1
 
     def coeff(self, k: int) -> int:
         return self._coeffs.get(k, 0)

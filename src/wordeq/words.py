@@ -142,11 +142,6 @@ class Morphism:
         return all(not w.letters for w in self.images)
 
 
-def length_type_of(h: Morphism) -> LengthType:
-    """Length type of a morphism: component i is |h(x_i)|."""
-    return h.length_type()
-
-
 def _divisors(num: int):
     for d in range(1, num + 1):
         if num % d == 0:
@@ -163,11 +158,6 @@ def primitive_root(w: Word) -> Word:
         if all(letters[i] == letters[i % p] for i in range(p, size)):
             return Word(letters[:p])
     return w
-
-
-def power_exponent(w: Word) -> int:
-    """Exponent k with w equal to the k-th power of its primitive root."""
-    return len(w) // len(primitive_root(w))
 
 
 def commute_check(u: Word, v: Word) -> bool:
@@ -334,8 +324,3 @@ def morphism_to_text(h: Morphism, names: list[str] | None = None) -> str:
 def words_of_length(alphabet, length: int):
     """All letter tuples of a given length over the alphabet."""
     return itertools.product(alphabet, repeat=length)
-
-
-def words_up_to(alphabet, max_len: int):
-    for k in range(max_len + 1):
-        yield from words_of_length(alphabet, k)

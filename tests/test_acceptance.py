@@ -48,7 +48,7 @@ from wordeq.transforms import (
     morphism_after_endo,
     position_matrix,
 )
-from wordeq.words import length_type_of, words_of_length
+from wordeq.words import words_of_length
 from wordeq.oracle import length_types_up_to
 
 from conftest import eq1, eqs, morphism
@@ -364,15 +364,15 @@ def test_c10_composition_matrix_identities():
             f = endo_compose(st.as_endo(n), f)
         composite = morphism_after_endo(g, f)
         # occurrence-count identity across the whole chain
-        lg = list(length_type_of(g))
+        lg = list(g.length_type())
         for st in reversed(steps):
             lg = list(abelian_matrix(st.as_endo(n)).apply(lg))
-        assert lg == list(length_type_of(composite))
+        assert lg == list(composite.length_type())
         # encoded-image identity, innermost step first
         vec = tuple(encode_poly(w) for w in g.images)
         current = g
         for st in reversed(steps):
-            vec = position_matrix(st.as_endo(n), length_type_of(current)).apply(vec)
+            vec = position_matrix(st.as_endo(n), current.length_type()).apply(vec)
             current = morphism_after_endo(current, st.as_endo(n))
         assert vec == tuple(encode_poly(w) for w in composite.images)
     elapsed = time.perf_counter() - start

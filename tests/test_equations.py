@@ -208,6 +208,21 @@ class TestRankTheoremCheck:
         assert report["same_solution_sets"]["applicable"]
         assert report["same_solution_sets"]["solution_sets_equal"]
 
+    def test_swapped_twin_has_the_same_solution_set(self):
+        h = morphism((1,), (2,), (1, 2))
+        report = rank_theorem_check([CYCLE, CYCLE.swapped()], L112, [h])
+        pools = [list(itertools.product((1, 2), repeat=k)) for k in (1, 1, 2)]
+        expected = sum(
+            1
+            for images in itertools.product(*pools)
+            if morphism(*images).apply(CYCLE.lhs) == morphism(*images).apply(CYCLE.rhs)
+        )
+        assert report["same_solution_sets"] == {
+            "applicable": True,
+            "solution_sets_equal": True,
+            "set_size": expected,
+        }
+
     def test_trivial_equation_vacuous(self):
         eq = eqs("x y = x y")[0]
         report = rank_theorem_check([eq], LengthType((1, 1)), [morphism((1,), (2,))])

@@ -1,6 +1,6 @@
+import itertools
 import json
 import math
-import os
 import random
 
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from wordeq import (
     EnumerationBudget,
     Equation,
+    LengthType,
     Word,
     balance_profile,
     entire_system_sample,
@@ -18,7 +19,7 @@ from wordeq import (
     rank_annotate,
     residual,
 )
-from wordeq.oracle import WORKERS_ENV, length_types_up_to
+from wordeq.oracle import length_types_up_to
 
 from conftest import eq1, morphism
 
@@ -96,16 +97,6 @@ class TestEnumerate:
             assert not residual(CYCLE, h).is_zero
             found += 1
 
-    def test_worker_count_does_not_change_results(self):
-        baseline = enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 4))
-        os.environ[WORKERS_ENV] = "2"
-        try:
-            parallel = enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 4))
-        finally:
-            del os.environ[WORKERS_ENV]
-        assert parallel.solutions == baseline.solutions
-        assert parallel.candidates_visited == baseline.candidates_visited
-
 
 class TestFiltering:
     def test_length_type_slice(self):
@@ -153,6 +144,64 @@ class TestIndependence:
         by_omitted = {entry["omitted_index"]: entry for entry in report["subsystems"]}
         # something solves the first equation but not the second
         assert by_omitted[1]["witness"] is not None
+
+
+def brute_force(system, n, max_total, alphabet):
+    """Every candidate in enumeration order, with the equations it solves.
+
+    Length types run by total, then lexicographically; images within a
+    length type run lexicographically.  Sides are compared through
+    Morphism.apply, independently of Equation.solved_by.
+    """
+    for total in range(max_total + 1):
+        for lt in itertools.product(range(total + 1), repeat=n):
+            if sum(lt) != total:
+                continue
+            pools = [list(itertools.product(alphabet, repeat=k)) for k in lt]
+            for images in itertools.product(*pools):
+                h = morphism(*images)
+                yield lt, images, [h.apply(eq.lhs) == h.apply(eq.rhs) for eq in system]
+
+
+def test_oracle_matches_brute_force_on_random_systems():
+    rng = random.Random(20141)
+    skipped_before_witness = 0
+    for _ in range(100):
+        n, top = rng.randint(1, 3), rng.randint(0, 6)
+        system = [
+            Equation(
+                tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+                tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+                n,
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        budget = EnumerationBudget((1, 2), top)
+        visited, solutions = 0, []
+        witnesses = [None] * len(system)
+        unbalanced = [False] * len(system)
+        for lt, images, holds in brute_force(system, n, top, (1, 2)):
+            visited += 1
+            if all(holds):
+                solutions.append(images)
+            for i in range(len(system)):
+                if witnesses[i] is not None:
+                    continue
+                rest = system[:i] + system[i + 1:]
+                if any(LengthType(lt).apply(eq.lhs) != LengthType(lt).apply(eq.rhs) for eq in rest):
+                    unbalanced[i] = True
+                if not holds[i] and all(holds[:i] + holds[i + 1:]):
+                    witnesses[i] = [Word(w).to_text() for w in images]
+        skipped_before_witness += sum(u and w is not None for u, w in zip(unbalanced, witnesses))
+
+        out = enumerate_solutions(system, budget)
+        assert out.candidates_visited == visited
+        solutions.sort(key=lambda images: (tuple(len(w) for w in images), images))
+        assert [tuple(w.letters for w in h.images) for h in out] == solutions
+        report = independence_check(system, budget)
+        assert [entry["witness"] for entry in report["subsystems"]] == witnesses
+    # the side-length skip ran ahead of witnesses that were still found
+    assert skipped_before_witness >= 10
 
 
 class TestEntireSystem:

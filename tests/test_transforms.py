@@ -12,7 +12,6 @@ from wordeq import (
     encode_poly,
     enumerate_solutions,
     factorize_solution,
-    length_type_of,
     parse_factorization,
     position_matrix,
     rank_polymatrix,
@@ -209,7 +208,7 @@ class TestCompositionIdentities:
             expected = vec
             mats = []
             for st in reversed(steps):
-                mats.append(position_matrix(st.as_endo(n), length_type_of(current)))
+                mats.append(position_matrix(st.as_endo(n), current.length_type()))
                 current = morphism_after_endo(current, st.as_endo(n))
             for mat in mats:
                 expected = mat.apply(expected)

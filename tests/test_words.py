@@ -9,7 +9,6 @@ from wordeq import (
     commute_check,
     encode_ratfun,
     is_periodic,
-    length_type_of,
     morphism_to_text,
     parse_morphism,
     parse_word,
@@ -154,13 +153,13 @@ class TestIsPeriodic:
 
 class TestLengthType:
     def test_of_morphism(self):
-        assert tuple(length_type_of(morphism((1,), (2,), (1, 2)))) == (1, 1, 2)
+        assert tuple(morphism((1,), (2,), (1, 2)).length_type()) == (1, 1, 2)
 
     def test_all_empty(self):
-        assert tuple(length_type_of(morphism((), (), ()))) == (0, 0, 0)
+        assert tuple(morphism((), (), ()).length_type()) == (0, 0, 0)
 
     def test_mixed(self):
-        assert tuple(length_type_of(morphism((1, 1), ()))) == (2, 0)
+        assert tuple(morphism((1, 1), ()).length_type()) == (2, 0)
 
     def test_additivity(self):
         lt = LengthType((2, 0, 3))
