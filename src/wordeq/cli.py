@@ -48,8 +48,7 @@ from .words import (
 
 
 class _ArgumentError(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A usage problem found by argparse."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +56,71 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ArgumentError(message)
+
+
+class _Report:
+    """The inputs, results and checks of one report, in the order a handler fills them."""
+
+    def __init__(self):
+        self.inputs: dict = {}
+        self.results: dict = {}
+        self.checks: list[dict] = []
+
+    def check(self, name: str, passed: bool, failure: str | None = None):
+        """Record a check; given a failure message, a failed check aborts with exit 2."""
+        self.checks.append({"name": name, "passed": passed})
+        if failure is not None and not passed:
+            raise TheoremCheckError(failure, report=self.results)
+
+
+# full name ("encode", "eq rank") -> (help, argument specs, handler), in --help order
+COMMANDS: dict[str, tuple] = {}
+
+_GROUPS = {
+    "eq": "single-equation analyses",
+    "pair": "two-equation analyses",
+    "system": "system analyses",
+    "chain": "chain-length analyses",
+}
+
+
+def _arg(*flags, **kwargs):
+    """One argument spec, as passed to ``add_argument``."""
+    return flags, kwargs
+
+
+def _command(name: str, help_text: str, *arguments):
+    """Declare the subcommand ``name`` with its help text and argument specs."""
+
+    def declare(handler):
+        COMMANDS[name] = (help_text, arguments, handler)
+        return handler
+
+    return declare
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # --json is accepted both before and after the subcommand; the
+    # trailing copy suppresses its default so it cannot shadow a leading one
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS,
+        help="machine-readable report",
+    )
+    root = _Parser(prog="wordeq", description=__doc__)
+    root.add_argument("--json", action="store_true", help="machine-readable report")
+    groups = {"": root.add_subparsers(dest="command", required=True)}
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        p = groups[group].add_parser(leaf, parents=[json_flag], help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
+    return root
 
 
 def _read(path: str) -> str:
@@ -73,136 +137,236 @@ def _parse_lengths(text: str) -> LengthType:
         raise InputFormatError(f"bad length vector {text!r}: {exc}") from None
 
 
-def _parse_alphabet(text: str) -> tuple[int, ...]:
+def _words(args, out: _Report, *dests: str, empty_error: str | None = None):
+    """Parse and echo the word arguments ``dests``; given ``empty_error``, reject empty ones."""
+    words = [parse_word(getattr(args, dest)) for dest in dests]
+    if empty_error is not None and not all(w.letters for w in words):
+        raise InputFormatError(empty_error)
+    for dest, w in zip(dests, words):
+        out.inputs[dest] = w.to_text()
+    return words
+
+
+def _load_system(path: str, out: _Report, count: int | None = None):
+    """Parse a system file and echo it as "system", or require exactly
+    ``count`` (1 or 2) equations and echo them as "equation" or "equations"."""
+    eqs, names = parse_system(_read(path))
+    texts = [e.to_text(names) for e in eqs]
+    if count is None:
+        out.inputs["system"] = texts
+    elif len(eqs) != count:
+        expected = "one equation" if count == 1 else "two equations"
+        raise InputFormatError(f"{path}: expected exactly {expected}, found {len(eqs)}")
+    elif count == 1:
+        out.inputs["equation"] = texts[0]
+    else:
+        out.inputs["equations"] = texts
+    return eqs, names
+
+
+def _load_morphism(path: str, names: list[str], out: _Report):
+    """Parse a morphism file over the unknowns ``names`` and echo it as "morphism"."""
+    h = parse_morphism(_read(path), names=names, n=len(names))
+    out.inputs["morphism"] = {names[i]: h.images[i].to_text() for i in range(h.n)}
+    return h
+
+
+_BUDGET_ARGS = (
+    _arg("--alphabet", default="1,2", help="comma-separated letters"),
+    _arg("--max-total", type=int, default=10, help="total image length bound"),
+)
+
+
+def _budget(args, out: _Report) -> EnumerationBudget:
+    """The enumeration budget of --alphabet and --max-total, echoed as "budget"."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        alphabet = tuple(int(p) for p in args.alphabet.split(","))
     except ValueError:
-        raise InputFormatError(f"bad alphabet {text!r}") from None
+        raise InputFormatError(f"bad alphabet {args.alphabet!r}") from None
+    budget = EnumerationBudget(alphabet=alphabet, max_total_length=args.max_total)
+    out.inputs["budget"] = budget.describe()
+    return budget
 
 
-def _budget(args) -> EnumerationBudget:
-    return EnumerationBudget(
-        alphabet=_parse_alphabet(args.alphabet), max_total_length=args.max_total
+def _unknown_args(required: bool):
+    """The argument specs of -k and -l."""
+    return tuple(_arg(flag, type=int, required=required) for flag in ("-k", "-l"))
+
+
+def _unknown_pair(args, n: int) -> tuple[int, int] | None:
+    """The unknowns -k and -l, both given or neither: two different indices in 1..n."""
+    if (args.k is None) != (args.l is None):
+        raise InputFormatError("give both -k and -l or neither")
+    if args.k is None:
+        return None
+    if not (1 <= args.k <= n and 1 <= args.l <= n) or args.k == args.l:
+        raise InputFormatError(
+            f"-k and -l must be two different unknowns in 1..{n}, got {args.k} and {args.l}"
+        )
+    return args.k, args.l
+
+
+@_command("encode", "polynomial encoding of a word", _arg("word"))
+def _encode(args, out):
+    [w] = _words(args, out, "word")
+    out.results["polynomial"] = encode_poly(w).to_text()
+
+
+@_command("ratfun", "reduced rational encoding of a nonempty word", _arg("word"))
+def _ratfun(args, out):
+    [w] = _words(args, out, "word", empty_error="the rational encoding needs a nonempty word")
+    out.results["rational_function"] = encode_ratfun(w).to_text()
+
+
+@_command("primroot", "primitive root of a nonempty word", _arg("word"))
+def _primroot(args, out):
+    [w] = _words(args, out, "word", empty_error="the primitive root needs a nonempty word")
+    root = primitive_root(w)
+    out.results["primitive_root"] = root.to_text()
+    out.results["exponent"] = len(w) // len(root)
+
+
+@_command("commute", "whether two words share a primitive root", _arg("u"), _arg("v"))
+def _commute(args, out):
+    u, v = _words(args, out, "u", "v", empty_error="commutation needs nonempty words")
+    out.results["commute"] = commute_check(u, v)
+    out.results["ratfun_equal"] = encode_ratfun(u) == encode_ratfun(v)
+    out.check(
+        "root and rational encodings agree",
+        out.results["commute"] == out.results["ratfun_equal"],
+        "commutation criteria disagree",
     )
 
 
-def _add_budget_args(parser):
-    parser.add_argument("--alphabet", default="1,2", help="comma-separated letters")
-    parser.add_argument("--max-total", type=int, default=10, help="total image length bound")
-
-
-def _load_pair(path: str):
-    eqs, names = parse_system(_read(path))
-    if len(eqs) != 2:
-        raise InputFormatError(f"{path}: expected exactly two equations, found {len(eqs)}")
-    return eqs[0], eqs[1], names
-
-
-def _load_single(path: str):
-    eqs, names = parse_system(_read(path))
-    if len(eqs) != 1:
-        raise InputFormatError(f"{path}: expected exactly one equation, found {len(eqs)}")
-    return eqs[0], names
-
-
-def _morphism_json(h, names):
-    return {names[i]: h.images[i].to_text() for i in range(h.n)}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    # --json is accepted both before and after the subcommand; the
-    # trailing copy suppresses its default so it cannot shadow a leading one
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="machine-readable report",
+@_command("finewilf", "periodicity agreement test for two words",
+          _arg("u"), _arg("v"), _arg("len", type=int))
+def _finewilf(args, out):
+    u, v = _words(args, out, "u", "v", empty_error="the periodicity test needs nonempty words")
+    out.inputs["len"] = args.len
+    verdict = fine_wilf_check(u, v, args.len)
+    out.results.update(
+        bound=verdict.bound,
+        agreement=verdict.agreement,
+        premise_holds=verdict.premise_holds,
+        roots_equal=verdict.roots_equal,
     )
-    root = _Parser(prog="wordeq", description=__doc__)
-    root.add_argument("--json", action="store_true", help="machine-readable report")
-    sub = root.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, **kwargs):
-        return group.add_parser(name, parents=[json_flag], **kwargs)
 
-    p = leaf(sub, "encode", help="polynomial encoding of a word")
-    p.add_argument("word")
+@_command("eq coeffs", "coefficient polynomials at a length type",
+          _arg("eqfile"), _arg("--lengths", required=True))
+def _eq_coeffs(args, out):
+    [eq], names = _load_system(args.eqfile, out, count=1)
+    lt = _parse_lengths(args.lengths)
+    out.inputs["lengths"] = list(lt)
+    out.results["coefficients"] = {
+        names[x - 1]: q_polynomial(eq, x, lt).to_text() for x in range(1, eq.n + 1)
+    }
 
-    p = leaf(sub, "ratfun", help="reduced rational encoding of a nonempty word")
-    p.add_argument("word")
 
-    p = leaf(sub, "primroot", help="primitive root of a nonempty word")
-    p.add_argument("word")
+@_command("eq rank", "rank of the coefficient matrix of a system",
+          _arg("systemfile"), _arg("--lengths", required=True))
+def _eq_rank(args, out):
+    eqs, _ = _load_system(args.systemfile, out)
+    lt = _parse_lengths(args.lengths)
+    out.inputs["lengths"] = list(lt)
+    matrix = coefficient_matrix(eqs, lt)
+    out.results["rank"] = rank_polymatrix(matrix)
+    out.results["matrix"] = [[p.to_text() for p in row] for row in matrix.entries]
 
-    p = leaf(sub, "commute", help="whether two words share a primitive root")
-    p.add_argument("u")
-    p.add_argument("v")
 
-    p = leaf(sub, "finewilf", help="periodicity agreement test for two words")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("len", type=int)
-
-    eq = sub.add_parser("eq", help="single-equation analyses").add_subparsers(
-        dest="subcommand", required=True
+@_command("eq verify", "test a morphism against an equation", _arg("eqfile"), _arg("morphismfile"))
+def _eq_verify(args, out):
+    [eq], names = _load_system(args.eqfile, out, count=1)
+    h = _load_morphism(args.morphismfile, names, out)
+    res = residual(eq, h)
+    solves = eq.holds_for(h)
+    out.results["residual"] = res.to_text()
+    out.results["solves"] = solves
+    out.results["length_type"] = list(h.length_type())
+    out.check(
+        "zero residual iff solution", res.is_zero == solves,
+        "residual and direct verdicts disagree",
     )
-    p = leaf(eq, "coeffs", help="coefficient polynomials at a length type")
-    p.add_argument("eqfile")
-    p.add_argument("--lengths", required=True)
-    p = leaf(eq, "rank", help="rank of the coefficient matrix of a system")
-    p.add_argument("systemfile")
-    p.add_argument("--lengths", required=True)
-    p = leaf(eq, "verify", help="test a morphism against an equation")
-    p.add_argument("eqfile")
-    p.add_argument("morphismfile")
 
-    pair = sub.add_parser("pair", help="two-equation analyses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(pair, "minor", help="2x2 minor of the symbolic coefficient matrix")
-    p.add_argument("pairfile")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
-    p = leaf(pair, "cover", help="hyperplane cover of maximal-rank length types")
-    p.add_argument("pairfile")
-    p.add_argument("--full-pairing", action="store_true")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("-l", type=int, default=None)
 
-    system = sub.add_parser("system", help="system analyses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(system, "graph", help="components of the leading-unknown graph")
-    p.add_argument("systemfile")
-    p = leaf(system, "enumerate", help="exhaustive solutions within a budget")
-    p.add_argument("systemfile")
-    _add_budget_args(p)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--lengths", default=None)
-    p.add_argument("--jsonl", action="store_true", help="print one JSON line per solution")
-    p = leaf(system, "independent", help="leave-one-out independence probe")
-    p.add_argument("systemfile")
-    _add_budget_args(p)
+@_command("pair minor", "2x2 minor of the symbolic coefficient matrix",
+          _arg("pairfile"), *_unknown_args(required=True))
+def _pair_minor(args, out):
+    [eq1, eq2], _ = _load_system(args.pairfile, out, count=2)
+    k, l = _unknown_pair(args, eq1.n)
+    out.inputs.update(k=k, l=l)
+    t = minor_t(eq1, eq2, k, l)
+    out.results["minor"] = t.to_text()
+    out.results["term_count"] = t.term_count
 
-    chain = sub.add_parser("chain", help="chain-length analyses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(chain, "bound", help="chain bound from occurrence counts")
-    p.add_argument("eqfile")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
-    p = leaf(chain, "check", help="strict descent of prefix solution sets")
-    p.add_argument("systemfile")
-    _add_budget_args(p)
 
-    p = leaf(sub, "powerid", help="power identity certificate")
-    p.add_argument("specfile")
-    p.add_argument("--indices", required=True)
+@_command("pair cover", "hyperplane cover of maximal-rank length types",
+          _arg("pairfile"), _arg("--full-pairing", action="store_true"),
+          *_unknown_args(required=False))
+def _pair_cover(args, out):
+    [eq1, eq2], _ = _load_system(args.pairfile, out, count=2)
+    cover = cover_pair(eq1, eq2, kl=_unknown_pair(args, eq1.n), full_pairing=args.full_pairing)
+    out.results.update(cover.to_report())
+    if not args.full_pairing:
+        out.check("plane count within bound", len(cover.planes) <= cover.bound)
 
-    p = leaf(sub, "factorize", help="factor a solution into elementary steps")
-    p.add_argument("eqfile")
-    p.add_argument("morphismfile")
 
-    return root
+@_command("system graph", "components of the leading-unknown graph", _arg("systemfile"))
+def _system_graph(args, out):
+    eqs, names = _load_system(args.systemfile, out)
+    out.results["components"] = graph_components(eqs)
+    out.results["edges"] = [[names[e.lhs[0] - 1], names[e.rhs[0] - 1]] for e in eqs]
+
+
+@_command("system enumerate", "exhaustive solutions within a budget",
+          _arg("systemfile"), *_BUDGET_ARGS, _arg("--rank", type=int), _arg("--lengths"),
+          _arg("--jsonl", action="store_true", help="print one JSON line per solution"))
+def _system_enumerate(args, out):
+    eqs, _ = _load_system(args.systemfile, out)
+    sols = rank_annotate(enumerate_solutions(eqs, _budget(args, out)))
+    if args.lengths is not None:
+        sols = sols.of_length_type(_parse_lengths(args.lengths))
+        out.inputs["lengths"] = args.lengths
+    if args.rank is not None:
+        sols = sols.of_rank(args.rank)
+        out.inputs["rank"] = args.rank
+    out.results["candidates_visited"] = sols.candidates_visited
+    out.results["solution_count"] = len(sols.solutions)
+    out.results["solutions"] = [
+        {
+            "images": [w.to_text() for w in h.images],
+            "length_type": list(h.length_type()),
+            "rank": sols.ranks[i],
+        }
+        for i, h in enumerate(sols.solutions)
+    ]
+    if args.jsonl:
+        out.results["jsonl"] = sols.to_json_lines()
+
+
+@_command("system independent", "leave-one-out independence probe",
+          _arg("systemfile"), *_BUDGET_ARGS)
+def _system_independent(args, out):
+    eqs, _ = _load_system(args.systemfile, out)
+    out.results.update(independence_check(eqs, _budget(args, out)))
+
+
+@_command("chain bound", "chain bound from occurrence counts",
+          _arg("eqfile"), *_unknown_args(required=True))
+def _chain_bound(args, out):
+    [eq], _ = _load_system(args.eqfile, out, count=1)
+    k, l = _unknown_pair(args, eq.n)
+    out.inputs.update(k=k, l=l)
+    out.results["bound"] = chain_bound(eq, k, l)
+    out.results["three_unknown_chain_bound"] = chain_bound_corollary(eq, k, l)
+    out.results["balance_profile"] = list(balance_profile(eq))
+
+
+@_command("chain check", "strict descent of prefix solution sets",
+          _arg("systemfile"), *_BUDGET_ARGS)
+def _chain_check(args, out):
+    eqs, _ = _load_system(args.systemfile, out)
+    out.results.update(chain_check(eqs, _budget(args, out)))
 
 
 def _parse_powerid_spec(text: str):
@@ -225,188 +389,33 @@ def _parse_powerid_spec(text: str):
     return parts
 
 
-def _dispatch(args) -> dict:
-    cmd = args.command
-    results: dict = {}
-    checks: list[dict] = []
-    inputs: dict = {}
+@_command("powerid", "power identity certificate",
+          _arg("specfile"), _arg("--indices", required=True))
+def _powerid(args, out):
+    parts = _parse_powerid_spec(_read(args.specfile))
+    try:
+        indices = {int(p) for p in args.indices.split(",")}
+    except ValueError:
+        raise InputFormatError(f"bad index set {args.indices!r}") from None
+    out.inputs["spec"] = {k: [w.to_text() for w in ws] for k, ws in parts.items()}
+    out.inputs["indices"] = sorted(indices)
+    out.results.update(
+        power_identity_check(parts["s"], parts["t"], parts["u"], parts["v"], indices)
+    )
 
-    if cmd == "encode":
-        w = parse_word(args.word)
-        inputs["word"] = w.to_text()
-        results["polynomial"] = encode_poly(w).to_text()
-    elif cmd == "ratfun":
-        w = parse_word(args.word)
-        if not w.letters:
-            raise InputFormatError("the rational encoding needs a nonempty word")
-        inputs["word"] = w.to_text()
-        results["rational_function"] = encode_ratfun(w).to_text()
-    elif cmd == "primroot":
-        w = parse_word(args.word)
-        if not w.letters:
-            raise InputFormatError("the primitive root needs a nonempty word")
-        inputs["word"] = w.to_text()
-        root = primitive_root(w)
-        results["primitive_root"] = root.to_text()
-        results["exponent"] = len(w) // len(root)
-    elif cmd == "commute":
-        u, v = parse_word(args.u), parse_word(args.v)
-        if not u.letters or not v.letters:
-            raise InputFormatError("commutation needs nonempty words")
-        inputs["u"], inputs["v"] = u.to_text(), v.to_text()
-        agree = commute_check(u, v)
-        results["commute"] = agree
-        results["ratfun_equal"] = encode_ratfun(u) == encode_ratfun(v)
-        checks.append(
-            {
-                "name": "root and rational encodings agree",
-                "passed": results["commute"] == results["ratfun_equal"],
-            }
-        )
-        if results["commute"] != results["ratfun_equal"]:
-            raise TheoremCheckError("commutation criteria disagree", report=results)
-    elif cmd == "finewilf":
-        u, v = parse_word(args.u), parse_word(args.v)
-        if not u.letters or not v.letters:
-            raise InputFormatError("the periodicity test needs nonempty words")
-        inputs.update({"u": u.to_text(), "v": v.to_text(), "len": args.len})
-        verdict = fine_wilf_check(u, v, args.len)
-        results.update(
-            {
-                "bound": verdict.bound,
-                "agreement": verdict.agreement,
-                "premise_holds": verdict.premise_holds,
-                "roots_equal": verdict.roots_equal,
-            }
-        )
-    elif cmd == "eq" and args.subcommand == "coeffs":
-        eq, names = _load_single(args.eqfile)
-        lt = _parse_lengths(args.lengths)
-        inputs["equation"] = eq.to_text(names)
-        inputs["lengths"] = list(lt)
-        results["coefficients"] = {
-            names[x - 1]: q_polynomial(eq, x, lt).to_text() for x in range(1, eq.n + 1)
-        }
-    elif cmd == "eq" and args.subcommand == "rank":
-        eqs, names = parse_system(_read(args.systemfile))
-        lt = _parse_lengths(args.lengths)
-        inputs["system"] = [e.to_text(names) for e in eqs]
-        inputs["lengths"] = list(lt)
-        matrix = coefficient_matrix(eqs, lt)
-        results["rank"] = rank_polymatrix(matrix)
-        results["matrix"] = [[p.to_text() for p in row] for row in matrix.entries]
-    elif cmd == "eq" and args.subcommand == "verify":
-        eq, names = _load_single(args.eqfile)
-        h = parse_morphism(_read(args.morphismfile), names=names, n=eq.n)
-        inputs["equation"] = eq.to_text(names)
-        inputs["morphism"] = _morphism_json(h, names)
-        res = residual(eq, h)
-        solves = eq.holds_for(h)
-        results["residual"] = res.to_text()
-        results["solves"] = solves
-        results["length_type"] = list(h.length_type())
-        checks.append({"name": "zero residual iff solution", "passed": res.is_zero == solves})
-        if res.is_zero != solves:
-            raise TheoremCheckError("residual and direct verdicts disagree", report=results)
-    elif cmd == "pair" and args.subcommand == "minor":
-        eq1, eq2, names = _load_pair(args.pairfile)
-        inputs["equations"] = [eq1.to_text(names), eq2.to_text(names)]
-        inputs["k"], inputs["l"] = args.k, args.l
-        t = minor_t(eq1, eq2, args.k, args.l)
-        results["minor"] = t.to_text()
-        results["term_count"] = t.term_count
-    elif cmd == "pair" and args.subcommand == "cover":
-        eq1, eq2, names = _load_pair(args.pairfile)
-        inputs["equations"] = [eq1.to_text(names), eq2.to_text(names)]
-        kl = None
-        if (args.k is None) != (args.l is None):
-            raise InputFormatError("give both -k and -l or neither")
-        if args.k is not None:
-            kl = (args.k, args.l)
-        cover = cover_pair(eq1, eq2, kl=kl, full_pairing=args.full_pairing)
-        results.update(cover.to_report())
-        if not args.full_pairing:
-            checks.append(
-                {"name": "plane count within bound", "passed": len(cover.planes) <= cover.bound}
-            )
-    elif cmd == "system" and args.subcommand == "graph":
-        eqs, names = parse_system(_read(args.systemfile))
-        inputs["system"] = [e.to_text(names) for e in eqs]
-        results["components"] = graph_components(eqs)
-        results["edges"] = [[names[e.lhs[0] - 1], names[e.rhs[0] - 1]] for e in eqs]
-    elif cmd == "system" and args.subcommand == "enumerate":
-        eqs, names = parse_system(_read(args.systemfile))
-        budget = _budget(args)
-        inputs["system"] = [e.to_text(names) for e in eqs]
-        inputs["budget"] = budget.describe()
-        sols = enumerate_solutions(eqs, budget)
-        sols = rank_annotate(sols)
-        if args.lengths is not None:
-            sols = sols.of_length_type(_parse_lengths(args.lengths))
-            inputs["lengths"] = args.lengths
-        if args.rank is not None:
-            sols = sols.of_rank(args.rank)
-            inputs["rank"] = args.rank
-        results["candidates_visited"] = sols.candidates_visited
-        results["solution_count"] = len(sols.solutions)
-        results["solutions"] = [
-            {
-                "images": [w.to_text() for w in h.images],
-                "length_type": list(h.length_type()),
-                "rank": sols.ranks[i],
-            }
-            for i, h in enumerate(sols.solutions)
-        ]
-        if args.jsonl:
-            results["jsonl"] = sols.to_json_lines()
-    elif cmd == "system" and args.subcommand == "independent":
-        eqs, names = parse_system(_read(args.systemfile))
-        budget = _budget(args)
-        inputs["system"] = [e.to_text(names) for e in eqs]
-        inputs["budget"] = budget.describe()
-        results.update(independence_check(eqs, budget))
-    elif cmd == "chain" and args.subcommand == "bound":
-        eq, names = _load_single(args.eqfile)
-        inputs["equation"] = eq.to_text(names)
-        inputs["k"], inputs["l"] = args.k, args.l
-        results["bound"] = chain_bound(eq, args.k, args.l)
-        results["three_unknown_chain_bound"] = chain_bound_corollary(eq, args.k, args.l)
-        results["balance_profile"] = list(balance_profile(eq))
-    elif cmd == "chain" and args.subcommand == "check":
-        eqs, names = parse_system(_read(args.systemfile))
-        budget = _budget(args)
-        inputs["system"] = [e.to_text(names) for e in eqs]
-        inputs["budget"] = budget.describe()
-        results.update(chain_check(eqs, budget))
-    elif cmd == "powerid":
-        parts = _parse_powerid_spec(_read(args.specfile))
-        try:
-            indices = {int(p) for p in args.indices.split(",")}
-        except ValueError:
-            raise InputFormatError(f"bad index set {args.indices!r}") from None
-        inputs["spec"] = {k: [w.to_text() for w in ws] for k, ws in parts.items()}
-        inputs["indices"] = sorted(indices)
-        results.update(
-            power_identity_check(parts["s"], parts["t"], parts["u"], parts["v"], indices)
-        )
-    elif cmd == "factorize":
-        eq, names = _load_single(args.eqfile)
-        h = parse_morphism(_read(args.morphismfile), names=names, n=eq.n)
-        inputs["equation"] = eq.to_text(names)
-        inputs["morphism"] = _morphism_json(h, names)
-        try:
-            fact = factorize_solution(eq, h)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from None
-        results["script"] = fact.to_text(names)
-        results["erased"] = fact.s
-        results["singular_steps"] = fact.t
-        results["rank_bound"] = fact.rank_bound
-        checks.append({"name": "recomposition matches", "passed": fact.recompose() == h})
-    else:  # pragma: no cover - argparse enforces the command set
-        raise InputFormatError(f"unknown command {cmd!r}")
 
-    return {"inputs": inputs, "results": results, "checks": checks}
+@_command("factorize", "factor a solution into elementary steps",
+          _arg("eqfile"), _arg("morphismfile"))
+def _factorize(args, out):
+    [eq], names = _load_system(args.eqfile, out, count=1)
+    h = _load_morphism(args.morphismfile, names, out)
+    # a ValueError (h does not solve eq) is reported by run as an input error
+    fact = factorize_solution(eq, h)
+    out.results["script"] = fact.to_text(names)
+    out.results["erased"] = fact.s
+    out.results["singular_steps"] = fact.t
+    out.results["rank_bound"] = fact.rank_bound
+    out.check("recomposition matches", fact.recompose() == h)
 
 
 def _human_lines(report: dict) -> list[str]:
@@ -442,9 +451,10 @@ def run(argv) -> int:
     """Entry point used by tests; returns the process exit code."""
     parser = build_parser()
     started = time.perf_counter()
+    out = _Report()
     try:
         args = parser.parse_args(argv)
-        body = _dispatch(args)
+        args.handler(args, out)
     except _ArgumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -460,9 +470,9 @@ def run(argv) -> int:
     )
     report = {
         "command": command,
-        "inputs": body["inputs"],
-        "results": body["results"],
-        "checks": body["checks"],
+        "inputs": out.inputs,
+        "results": out.results,
+        "checks": out.checks,
         "elapsed_ms": elapsed,
     }
     if args.json:

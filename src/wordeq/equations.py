@@ -135,9 +135,6 @@ class PolyMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def rank(self) -> int:
-        return rank_polymatrix(self)
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match")
@@ -167,9 +164,6 @@ class PolyMatrix:
 
     def evaluate(self, x) -> tuple[tuple, ...]:
         return tuple(tuple(p.evaluate(x) for p in row) for row in self.entries)
-
-    def to_text(self) -> str:
-        return "\n".join("[" + ", ".join(p.to_text() for p in row) + "]" for row in self.entries)
 
 
 def coefficient_matrix(system, lt: LengthType) -> PolyMatrix:
@@ -434,7 +428,3 @@ def parse_equation(text: str):
     if len(eqs) != 1:
         raise InputFormatError(f"expected one equation, found {len(eqs)}")
     return eqs[0], names
-
-
-def system_to_text(system, names: list[str] | None = None) -> str:
-    return "\n".join(eq.to_text(names) for eq in system)

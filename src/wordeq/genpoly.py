@@ -104,10 +104,6 @@ class GenPoly:
     def zero(n: int) -> "GenPoly":
         return GenPoly(n)
 
-    @staticmethod
-    def monomial(form: LinForm, coeff: int = 1) -> "GenPoly":
-        return GenPoly(form.n, {form: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -43,20 +43,8 @@ class IntPolynomial:
 
     # construction helpers
     @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial()
-
-    @staticmethod
     def one() -> "IntPolynomial":
         return IntPolynomial({0: 1})
-
-    @staticmethod
-    def constant(c: int) -> "IntPolynomial":
-        return IntPolynomial({0: c})
-
-    @staticmethod
-    def x_power(k: int, c: int = 1) -> "IntPolynomial":
-        return IntPolynomial({k: c})
 
     # basic queries
     @property

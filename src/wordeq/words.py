@@ -54,9 +54,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def count(self, letter: int) -> int:
-        return self.letters.count(letter)
-
     def to_text(self) -> str:
         if not self.letters:
             return "eps"

@@ -1,11 +1,14 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from wordeq.cli import run
+import wordeq.cli
+from wordeq.cli import COMMANDS, run
+from wordeq.polynomials import IntPolynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = json.loads((ROOT / "recipes" / "recipes.json").read_text())
@@ -157,6 +160,31 @@ class TestExitCodes:
         code, _, err = invoke(["factorize", str(eqf), str(hf)])
         assert code == 1
 
+    @pytest.mark.parametrize("k, l", [("1", "9"), ("0", "2"), ("2", "2")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pair", "minor", "recipes/inputs/pair.txt"],
+            ["pair", "cover", "recipes/inputs/pair.txt"],
+            ["chain", "bound", "recipes/inputs/cycle.txt"],
+        ],
+        ids=["pair-minor", "pair-cover", "chain-bound"],
+    )
+    def test_unknown_pair_out_of_range_or_equal(self, argv, k, l):
+        # both input files have three unknowns
+        code, out, err = invoke(argv + ["-k", k, "-l", l])
+        assert code == 1
+        assert "-k and -l must be two different unknowns in 1..3" in err
+        assert out == ""
+
+    def test_failed_identity_exits_2(self, monkeypatch):
+        # a nonzero residual for a real solution contradicts the residual theorem
+        monkeypatch.setattr(wordeq.cli, "residual", lambda eq, h: IntPolynomial.one())
+        code, out, err = invoke(RECIPES["eq-verify"])
+        assert code == 2
+        assert "theorem check failed" in err
+        assert out == ""
+
 
 class TestReportShape:
     def test_json_round_trip(self):
@@ -176,5 +204,14 @@ class TestRecipes:
     def test_recipe_matches_golden(self, name):
         report = invoke_json(RECIPES[name])
         report["elapsed_ms"] = 0
-        golden = json.loads((ROOT / "recipes" / "golden" / f"{name}.json").read_text())
-        assert report == golden
+        # compared as text, so key order is pinned too
+        golden = (ROOT / "recipes" / "golden" / f"{name}.json").read_text()
+        assert json.dumps(report, indent=2) + "\n" == golden
+
+
+def test_readme_lists_every_command():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    # a command name is the lowercase words after "wordeq"; arguments are uppercase or digits
+    listed = [name.strip() for name in re.findall(r"^wordeq((?: [a-z]+)+)", block, re.M)]
+    assert listed == list(COMMANDS)
