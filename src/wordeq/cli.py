@@ -130,11 +130,14 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _parse_lengths(text: str) -> LengthType:
+def _parse_lengths(text: str, n: int) -> LengthType:
     try:
-        return LengthType(tuple(int(p) for p in text.split(",")))
+        lt = LengthType(tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
         raise InputFormatError(f"bad length vector {text!r}: {exc}") from None
+    if len(lt) != n:
+        raise InputFormatError("length type size does not match the unknown count")
+    return lt
 
 
 def _words(args, out: _Report, *dests: str, empty_error: str | None = None):
@@ -256,7 +259,7 @@ def _finewilf(args, out):
           _arg("eqfile"), _arg("--lengths", required=True))
 def _eq_coeffs(args, out):
     [eq], names = _load_system(args.eqfile, out, count=1)
-    lt = _parse_lengths(args.lengths)
+    lt = _parse_lengths(args.lengths, eq.n)
     out.inputs["lengths"] = list(lt)
     out.results["coefficients"] = {
         names[x - 1]: q_polynomial(eq, x, lt).to_text() for x in range(1, eq.n + 1)
@@ -267,7 +270,7 @@ def _eq_coeffs(args, out):
           _arg("systemfile"), _arg("--lengths", required=True))
 def _eq_rank(args, out):
     eqs, _ = _load_system(args.systemfile, out)
-    lt = _parse_lengths(args.lengths)
+    lt = _parse_lengths(args.lengths, eqs[0].n)
     out.inputs["lengths"] = list(lt)
     matrix = coefficient_matrix(eqs, lt)
     out.results["rank"] = rank_polymatrix(matrix)
@@ -323,9 +326,11 @@ def _system_graph(args, out):
           _arg("--jsonl", action="store_true", help="print one JSON line per solution"))
 def _system_enumerate(args, out):
     eqs, _ = _load_system(args.systemfile, out)
-    sols = rank_annotate(enumerate_solutions(eqs, _budget(args, out)))
-    if args.lengths is not None:
-        sols = sols.of_length_type(_parse_lengths(args.lengths))
+    budget = _budget(args, out)
+    lt = None if args.lengths is None else _parse_lengths(args.lengths, eqs[0].n)
+    sols = rank_annotate(enumerate_solutions(eqs, budget))
+    if lt is not None:
+        sols = sols.of_length_type(lt)
         out.inputs["lengths"] = args.lengths
     if args.rank is not None:
         sols = sols.of_rank(args.rank)

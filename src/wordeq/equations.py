@@ -3,8 +3,10 @@
 Fixing a length type turns a word equation into a linear equation over
 the field of rational functions: each unknown gets a coefficient
 polynomial built from its occurrence positions.  The rank of the
-resulting coefficient matrix is computed exactly with fraction-free
-elimination.
+resulting coefficient matrix over that field is computed exactly at one
+integer point: a bound H on the coefficients of every minor makes
+X = H + 2 a non-root of each nonzero minor (Cauchy's root bound), so
+one fraction-free integer elimination there gives the exact rank.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import InputFormatError, TheoremCheckError
-from .polynomials import IntPolynomial, encode_poly, exact_div
+from .polynomials import IntPolynomial, encode_poly
 from .words import (
     LengthType,
     Morphism,
@@ -181,107 +183,68 @@ def coefficient_matrix(system, lt: LengthType) -> PolyMatrix:
     )
 
 
-def _pivot_weight(p: IntPolynomial):
-    return (p.degree, len(p._coeffs), sum(abs(c) for c in p._coeffs.values()))
+def _integer_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each step every entry below the pivot rows is, up to sign, a
+    minor of the input, so dividing by the previous pivot is exact.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def rank_polymatrix(matrix: PolyMatrix) -> int:
     """Exact rank over the field of rational functions.
 
-    Fraction-free elimination: rows are cross-multiplied against the
-    pivot row, divided exactly by the previous pivot when possible
-    (classic Bareiss step) and stripped of integer content otherwise.
-    Row scalings by nonzero polynomials leave the rank unchanged.
+    Let H be the product over rows of max(1, the row's total absolute
+    coefficient sum).  Every minor is an integer polynomial whose
+    coefficients sum in absolute value to at most H, so by Cauchy's root
+    bound no nonzero minor vanishes at X = H + 2.  The rank over Q(X) is
+    therefore the integer rank of the matrix evaluated there.
     """
-    rows = [[p for p in row] for row in matrix.entries]
-    rows = [r for r in rows if any(not p.is_zero for p in r)]
-    for r in rows:
-        g = 0
-        for p in r:
-            g = gcd(g, p.content())
-        if g > 1:
-            for j, p in enumerate(r):
-                r[j] = IntPolynomial({d: c // g for d, c in p.items()})
-    ncols = matrix.cols
-    rank = 0
-    col_of = list(range(ncols))
-    prev = IntPolynomial.one()
-    while rows:
-        # pick the lowest-weight nonzero entry as pivot
-        best = None
-        for i, row in enumerate(rows):
-            for j in range(rank, ncols):
-                p = row[col_of[j]]
-                if not p.is_zero:
-                    w = _pivot_weight(p)
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        rows[0], rows[pi] = rows[pi], rows[0]
-        col_of[rank], col_of[pj] = col_of[pj], col_of[rank]
-        pivot_row = rows[0]
-        pivot = pivot_row[col_of[rank]]
-        remaining = []
-        for row in rows[1:]:
-            factor = row[col_of[rank]]
-            new = []
-            for j in range(rank + 1, ncols):
-                c = col_of[j]
-                new.append(pivot * row[c] - factor * pivot_row[c])
-            try:
-                new = [exact_div(p, prev) for p in new]
-            except ArithmeticError:
-                g = 0
-                for p in new:
-                    g = gcd(g, p.content())
-                if g > 1:
-                    new = [IntPolynomial({d: cc // g for d, cc in p.items()}) for p in new]
-            if any(not p.is_zero for p in new):
-                filled = [IntPolynomial()] * ncols
-                for j, p in zip(range(rank + 1, ncols), new):
-                    filled[col_of[j]] = p
-                remaining.append(filled)
-        rank += 1
-        prev = pivot
-        rows = remaining
-    return rank
+    bound = 1
+    for row in matrix.entries:
+        bound *= max(1, sum(abs(c) for p in row for _, c in p.items()))
+    return _integer_rank(matrix.evaluate(bound + 2))
 
 
 def rational_matrix_rank(rows) -> int:
-    """Rank of a matrix with integer or Fraction entries, by exact elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a matrix with integer or Fraction entries, by exact elimination.
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    rank unchanged, and the integer matrix goes through the same
+    fraction-free elimination as rank_polymatrix.
+    """
+    scaled = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (den // v.denominator) for v in row])
+    return _integer_rank(scaled)
 
 
 def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
     """Rank of the matrix after substituting an integer for X.
 
-    Always at most the symbolic rank; used as an independent cross-check
-    of rank_polymatrix, not on the production path.
+    Always at most the rank over Q(X), with equality at every point that
+    is no root of a nonzero minor; rank_polymatrix evaluates at a point
+    certified to be one, and tests compare it against random points.
     """
     return rational_matrix_rank(matrix.evaluate(point))
 

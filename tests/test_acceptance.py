@@ -52,6 +52,7 @@ from wordeq.words import words_of_length
 from wordeq.oracle import length_types_up_to
 
 from conftest import eq1, eqs, morphism
+from rank_reference import symbolic_rank
 
 
 CYCLE = eq1("x1 x2 x3 = x3 x1 x2")
@@ -518,6 +519,7 @@ def test_c15_symbolic_rank_cross_check():
         )
         m = PolyMatrix(entries)
         symbolic = rank_polymatrix(m)
+        assert symbolic == symbolic_rank(m)
         numeric = rank_by_evaluation(m, rng.randint(10**3, 10**6))
         assert numeric <= symbolic
         resamples = 0

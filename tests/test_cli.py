@@ -144,6 +144,17 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    def test_enumerate_lengths_of_the_wrong_size(self):
+        # the same check and message as eq coeffs and eq rank
+        for argv in (
+            ["system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "4"],
+            ["eq", "rank", "recipes/inputs/cycle.txt"],
+        ):
+            code, out, err = invoke(argv + ["--lengths", "1,1"])
+            assert code == 1
+            assert out == ""
+            assert "length type size does not match the unknown count" in err
+
     def test_unknown_flag(self):
         code, _, err = invoke(["encode", "--frobnicate", "1"])
         assert code == 1

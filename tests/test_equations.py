@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from wordeq import (
 from wordeq.equations import rational_matrix_rank
 
 from conftest import eq1, eqs, morphism
+from rank_reference import symbolic_rank
 
 
 P = parse_polynomial
@@ -193,10 +195,69 @@ class TestRank:
                 numeric = rank_by_evaluation(m, rng.randint(10**3, 10**6))
             assert numeric == symbolic
 
+    def test_matches_symbolic_rank_on_random_systems(self):
+        # the certified point against the Z[X] elimination, never evaluated
+        rng = random.Random(4111)
+        deficient_count = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            deficient = rng.random() < 0.3
+            m = rng.randint(2 if deficient else 1, 6)
+            system = [
+                Equation(
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6))),
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6))),
+                    n,
+                )
+                for _ in range(m - deficient)
+            ]
+            if deficient:
+                twin = rng.choice(system)
+                system.insert(rng.randint(0, len(system)), rng.choice((twin, twin.swapped())))
+                deficient_count += 1
+            lt = LengthType(tuple(rng.randint(0, 9) for _ in range(n)))
+            mat = coefficient_matrix(system, lt)
+            rank = rank_polymatrix(mat)
+            assert rank == symbolic_rank(mat), (system, lt)
+            if deficient:
+                assert rank < m
+        assert 60 <= deficient_count <= 120
+
+    def test_matches_symbolic_rank_on_hand_cases(self):
+        zero = P("0")
+        high = P("X^60 + 3X^7 - 1")
+        cases = [
+            # determinant X - 2: evaluating at 2 drops the rank
+            ([[P("X"), P("2")], [P("1"), P("1")]], 2),
+            # a zero row must not bring the point H + 2 down to the root 2
+            ([[P("X"), P("2")], [zero, zero], [P("1"), P("1")]], 2),
+            # determinant 3 - X: H must count every entry, not the first column only
+            ([[P("1"), P("X")], [P("1"), P("3")]], 2),
+            ([[zero] * 4] * 3, 0),
+            ([], 0),
+            ([[zero, P("1 + X"), zero], [zero] * 3, [zero, P("X"), P("X^2")]], 2),
+            ([[zero, P("X"), zero, P("-1")]], 1),
+            ([[zero], [P("X^3")], [P("-2")]], 1),
+            ([[zero] * 3], 0),
+            ([[P("X^61"), high], [high, P("X^64 - X")]], 2),
+            ([[high, P("X^62")], [high * P("X - 5"), P("X^62") * P("X - 5")]], 1),
+        ]
+        for rows, want in cases:
+            m = PolyMatrix(tuple(tuple(r) for r in rows))
+            assert symbolic_rank(m) == want
+            assert rank_polymatrix(m) == want
+        assert rank_by_evaluation(PolyMatrix(((P("X"), P("2")), (P("1"), P("1")))), 2) == 1
+
     def test_rational_matrix_rank(self):
         assert rational_matrix_rank([[1, 2], [2, 4]]) == 1
         assert rational_matrix_rank([[1, 0], [0, 1]]) == 2
         assert rational_matrix_rank([]) == 0
+
+    def test_rational_matrix_rank_clears_denominators_per_row(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert rational_matrix_rank([[half, third], [3, 2]]) == 1
+        assert rational_matrix_rank([[half, 1], [1, half]]) == 2
+        assert rational_matrix_rank([[third, 0, -third], [0, 0, 0], [1, Fraction(5, 7), -1]]) == 2
 
 
 class TestRankTheoremCheck:
