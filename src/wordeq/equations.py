@@ -90,18 +90,14 @@ def q_polynomial(eq: Equation, x: int, lt: LengthType) -> IntPolynomial:
     """
     if len(lt) != eq.n:
         raise ValueError("length type size does not match the unknown count")
-    out: dict[int, int] = {}
+    terms = []
     for side, sign in ((eq.lhs, 1), (eq.rhs, -1)):
         pos = 0
         for y in side:
             if y == x:
-                s = out.get(pos, 0) + sign
-                if s:
-                    out[pos] = s
-                elif pos in out:
-                    del out[pos]
+                terms.append((pos, sign))
             pos += lt[y - 1]
-    return IntPolynomial(out)
+    return IntPolynomial(terms)
 
 
 def residual(eq: Equation, h: Morphism) -> IntPolynomial:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputFormatError
 from .equations import Equation
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ class LinForm:
 
     def le(self, other: "LinForm") -> bool:
         """Componentwise order; implies pointwise order on nonnegative points."""
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("forms live over different unknown counts")
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
 
     def to_text(self) -> str:
@@ -75,93 +77,34 @@ def unit_form(n: int, i: int) -> LinForm:
     return LinForm(tuple(1 if j == i else 0 for j in range(1, n + 1)))
 
 
-class GenPoly:
+class GenPoly(SparsePoly):
     """Integer combination of formal powers X^p with linear-form exponents p."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
+
+    _term_key = staticmethod(lambda term: term[0].coeffs)  # lexicographic on coefficient vectors
 
     def __init__(self, n: int, terms=None):
         if n < 1:
             raise ValueError("need at least one unknown")
-        clean: dict[LinForm, int] = {}
-        if terms:
-            for form, c in terms.items() if isinstance(terms, dict) else terms:
-                if form.n != n:
-                    raise ValueError("term exponent has the wrong dimension")
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficients must be integers, got {c!r}")
-                if c:
-                    clean[form] = clean.get(form, 0) + c
-                    if not clean[form]:
-                        del clean[form]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__(n, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GenPoly is immutable")
+    def _exponent(self, form: LinForm) -> LinForm:
+        if form.n != self._n:
+            raise ValueError("term exponent has the wrong dimension")
+        return form
+
+    @staticmethod
+    def _power_text(form: LinForm) -> str:
+        return "" if form.is_zero else f"X^{{{form.to_text()}}}"
 
     @staticmethod
     def zero(n: int) -> "GenPoly":
         return GenPoly(n)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, form: LinForm) -> int:
-        return self._terms.get(form, 0)
-
-    def terms(self):
-        """Terms in canonical order (lexicographic on coefficient vectors)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].coeffs)
-
-    @property
     def term_count(self) -> int:
         return len(self._terms)
-
-    def _check(self, other: "GenPoly"):
-        if self.n != other.n:
-            raise ValueError("operands live over different unknown counts")
-
-    def __add__(self, other: "GenPoly") -> "GenPoly":
-        self._check(other)
-        out = dict(self._terms)
-        for f, c in other._terms.items():
-            s = out.get(f, 0) + c
-            if s:
-                out[f] = s
-            elif f in out:
-                del out[f]
-        return GenPoly(self.n, out)
-
-    def __sub__(self, other: "GenPoly") -> "GenPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "GenPoly":
-        return GenPoly(self.n, {f: -c for f, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GenPoly(self.n, {f: c * other for f, c in self._terms.items()})
-        self._check(other)
-        out: dict[LinForm, int] = {}
-        for f1, c1 in self._terms.items():
-            for f2, c2 in other._terms.items():
-                f = f1 + f2
-                s = out.get(f, 0) + c1 * c2
-                if s:
-                    out[f] = s
-                elif f in out:
-                    del out[f]
-        return GenPoly(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, GenPoly) and self.n == other.n and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
 
     def substitute(self, point) -> IntPolynomial:
         """Evaluate the exponent forms at a nonnegative integer point."""
@@ -170,63 +113,7 @@ class GenPoly:
             raise ValueError("substitution point has the wrong dimension")
         if any(v < 0 for v in values):
             raise ValueError("substitution needs nonnegative entries")
-        out: dict[int, int] = {}
-        for form, c in self._terms.items():
-            d = form.evaluate(values)
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        return IntPolynomial(out)
-
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for form, c in self.terms():
-            mag = abs(c)
-            if form.is_zero:
-                body = str(mag)
-            else:
-                body = f"X^{{{form.to_text()}}}"
-                if mag != 1:
-                    body = f"{mag}{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.to_text()
-
-    def __repr__(self):
-        return f"GenPoly({self.to_text()!r})"
-
-
-def s_polynomial(eq: Equation, x: int) -> GenPoly:
-    """Positional coefficient of an unknown with symbolic prefix lengths.
-
-    Each occurrence of x contributes X^(sum of X_j over the unknowns of
-    the strict prefix), positively on the left side and negatively on the
-    right; substituting any length type recovers the fixed-length
-    coefficient polynomial.
-    """
-    n = eq.n
-    out: dict[LinForm, int] = {}
-    for side, sign in ((eq.lhs, 1), (eq.rhs, -1)):
-        counts = [0] * n
-        for y in side:
-            if y == x:
-                form = LinForm(tuple(counts))
-                s = out.get(form, 0) + sign
-                if s:
-                    out[form] = s
-                elif form in out:
-                    del out[form]
-            counts[y - 1] += 1
-    return GenPoly(n, out)
+        return IntPolynomial((form.evaluate(values), c) for form, c in self._terms.items())
 
 
 def occurrence_forms(side, x: int, n: int) -> list[LinForm]:
@@ -244,6 +131,24 @@ def occurrence_forms(side, x: int, n: int) -> list[LinForm]:
     return forms
 
 
+def s_polynomial(eq: Equation, x: int) -> GenPoly:
+    """Positional coefficient of an unknown with symbolic prefix lengths.
+
+    Each occurrence of x contributes X^(sum of X_j over the unknowns of
+    the strict prefix), positively on the left side and negatively on the
+    right; substituting any length type recovers the fixed-length
+    coefficient polynomial.
+    """
+    return GenPoly(
+        eq.n,
+        [
+            (form, sign)
+            for side, sign in ((eq.lhs, 1), (eq.rhs, -1))
+            for form in occurrence_forms(side, x, eq.n)
+        ],
+    )
+
+
 def minor_t(eq1: Equation, eq2: Equation, k: int, l: int) -> GenPoly:
     """2x2 minor of the symbolic coefficient rows of two equations."""
     if eq1.n != eq2.n:
@@ -255,65 +160,26 @@ def minor_t(eq1: Equation, eq2: Equation, k: int, l: int) -> GenPoly:
     return s1k * s2l - s1l * s2k
 
 
-class MultiPoly:
+class MultiPoly(SparsePoly):
     """Plain multivariate integer polynomial keyed by exponent tuples."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, c in terms.items() if isinstance(terms, dict) else terms:
-                exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r}")
-                if c:
-                    clean[exps] = clean.get(exps, 0) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+    def _exponent(self, exps) -> tuple[int, ...]:
+        exps = tuple(exps)
+        if len(exps) != self._n or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps!r}")
+        return exps
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    @staticmethod
+    def _add_exponents(a, b):
+        return tuple(x + y for x, y in zip(a, b))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MultiPoly(self.n, out)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly(self.n, out)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.n == other.n and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
-
+    # no text format of its own: str and repr both show the term map
     def __repr__(self):
         return f"MultiPoly({self._terms!r})"
+
+    __str__ = __repr__
 
 
 def iso_multivariate(g: GenPoly) -> MultiPoly:

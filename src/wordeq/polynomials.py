@@ -1,4 +1,8 @@
-"""Exact sparse univariate integer polynomials and reduced rational functions.
+"""Sparse polynomials, reduced rational functions and word encodings.
+
+SparsePoly is the one term-map core under every polynomial type of the
+library; IntPolynomial, the univariate integer polynomials, is built on it
+here, and the generalized and multivariate ones in genpoly.
 
 A word a_0 a_1 ... a_{n-1} is encoded as the polynomial
 a_0 + a_1 X + ... + a_{n-1} X^(n-1); since all letters are positive the
@@ -9,6 +13,7 @@ the primitive root of the word.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,161 +23,189 @@ from .errors import InputFormatError, TheoremCheckError
 from .words import Word, primitive_root
 
 
-class IntPolynomial:
-    """Sparse polynomial with arbitrary-precision integer coefficients.
+class SparsePoly:
+    """Immutable sparse polynomial: a map exponent -> nonzero integer coefficient.
 
-    Stored as a map degree -> nonzero coefficient; the zero polynomial is
-    the empty map and has degree -1, below every real degree.
+    The library's polynomials differ only in their exponents: a degree
+    (IntPolynomial), a linear form in the unknown lengths (GenPoly) or an
+    exponent tuple (MultiPoly).  A subclass says how an exponent is
+    checked, how two exponents add when that is not ``+``, how terms are
+    ordered and how a power is written; sums, products, equality and
+    rendering live here.  ``n`` counts the unknowns, and operands over
+    different counts are rejected.  Instances are immutable: ``n`` is a
+    read-only property, the term map is private and there is no
+    ``__dict__``, so results can be shared freely.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_n", "_terms")
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for deg, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if not isinstance(deg, int) or deg < 0:
-                    raise ValueError(f"degrees must be nonnegative integers, got {deg!r}")
+    _term_key = None  # sort key of (exponent, coefficient) terms; None orders by exponent
+    _add_exponents = staticmethod(operator.add)
+
+    def __init__(self, n: int, terms=None):
+        self._n = n
+        self._terms = self._collect(terms, self._exponent) if terms else {}
+
+    @staticmethod
+    def _collect(terms, exponent=None) -> dict:
+        """Sum (exponent, coefficient) pairs into a map without zero coefficients.
+
+        With an exponent check given, every term is validated first.
+        """
+        out = {}
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            if exponent:
+                e = exponent(e)
                 if not isinstance(c, int):
                     raise ValueError(f"coefficients must be integers, got {c!r}")
-                if c:
-                    clean[deg] = clean.get(deg, 0) + c
-                    if not clean[deg]:
-                        del clean[deg]
-        self._coeffs = clean
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return out
 
-    # construction helpers
-    @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial({0: 1})
+    @classmethod
+    def _new(cls, n: int, terms: dict):
+        """Wrap a term map that is already free of zero coefficients."""
+        p = object.__new__(cls)
+        p._n = n
+        p._terms = terms
+        return p
 
-    # basic queries
+    @property
+    def n(self) -> int:
+        """Number of unknowns; read-only, like every public attribute."""
+        return self._n
+
+    def _check(self, other: "SparsePoly"):
+        if self._n != other._n:
+            raise ValueError("operands live over different unknown counts")
+
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
-    @property
-    def degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else -1
+    def coeff(self, exponent) -> int:
+        return self._terms.get(exponent, 0)
 
-    def coeff(self, k: int) -> int:
-        return self._coeffs.get(k, 0)
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    @property
-    def leading_coefficient(self) -> int:
-        if not self._coeffs:
-            return 0
-        return self._coeffs[max(self._coeffs)]
-
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._coeffs.values():
-            g = gcd(g, c)
-        return g
-
-    def primitive_part(self) -> "IntPolynomial":
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial({d: c // g for d, c in self._coeffs.items()})
+    def terms(self):
+        """(exponent, coefficient) pairs in the subclass's canonical order."""
+        return sorted(self._terms.items(), key=self._term_key)
 
     # arithmetic
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            s = out.get(d, 0) + c
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = out.get(e, 0) + c
             if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._coeffs = out
-        return res
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return self._new(self._n, out)
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            s = out.get(d, 0) - c
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._coeffs = out
-        return res
+    def __sub__(self, other):
+        return self + -other
 
-    def __neg__(self) -> "IntPolynomial":
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._coeffs = {d: -c for d, c in self._coeffs.items()}
-        return res
+    def __neg__(self):
+        return self._new(self._n, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return IntPolynomial()
-            res = IntPolynomial.__new__(IntPolynomial)
-            res._coeffs = {d: c * other for d, c in self._coeffs.items()}
-            return res
-        out: dict[int, int] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                d = d1 + d2
-                s = out.get(d, 0) + c1 * c2
-                if s:
-                    out[d] = s
-                elif d in out:
-                    del out[d]
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._coeffs = out
-        return res
+            scaled = {e: c * other for e, c in self._terms.items()} if other else {}
+            return self._new(self._n, scaled)
+        self._check(other)
+        add = self._add_exponents
+        products = [
+            (add(e1, e2), c1 * c2)
+            for e1, c1 in self._terms.items()
+            for e2, c2 in other._terms.items()
+        ]
+        return self._new(self._n, self._collect(products))
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by X^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._coeffs = {d + k: c for d, c in self._coeffs.items()}
-        return res
-
-    def evaluate(self, x):
-        return sum(c * x**d for d, c in self._coeffs.items())
-
     # equality and rendering
     def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self._coeffs == other._coeffs
+        return type(other) is type(self) and self._n == other._n and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._n, frozenset(self._terms.items())))
 
     def to_text(self) -> str:
-        """Terms in increasing degree, e.g. "1 + 2X + X^2 + 2X^3"."""
-        if not self._coeffs:
-            return "0"
+        """Signed terms in canonical order, e.g. "1 + 2X - X^3"; "0" when empty."""
         parts = []
-        for d, c in self.items():
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                xpart = "X" if d == 1 else f"X^{d}"
-                body = xpart if mag == 1 else f"{mag}{xpart}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
+        for e, c in self.terms():
+            power = self._power_text(e)
+            body = power if power and abs(c) == 1 else f"{abs(c)}{power}"
+            if parts:
                 parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        return " ".join(parts) or "0"
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
-        return f"IntPolynomial({self.to_text()!r})"
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+
+class IntPolynomial(SparsePoly):
+    """Sparse univariate polynomial with arbitrary-precision integer coefficients.
+
+    Exponents are degrees of the one unknown X (so ``n`` is 1); the zero
+    polynomial is the empty map and has degree -1, below every real degree.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        super().__init__(1, coeffs)
+
+    @staticmethod
+    def _exponent(deg):
+        if not isinstance(deg, int) or deg < 0:
+            raise ValueError(f"degrees must be nonnegative integers, got {deg!r}")
+        return deg
+
+    @staticmethod
+    def _power_text(d) -> str:
+        return "" if d == 0 else "X" if d == 1 else f"X^{d}"
+
+    items = SparsePoly.terms
+
+    @staticmethod
+    def one() -> "IntPolynomial":
+        return IntPolynomial({0: 1})
+
+    @property
+    def degree(self) -> int:
+        return max(self._terms) if self._terms else -1
+
+    @property
+    def leading_coefficient(self) -> int:
+        return self._terms[max(self._terms)] if self._terms else 0
+
+    def content(self) -> int:
+        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
+        return gcd(*self._terms.values())
+
+    def primitive_part(self) -> "IntPolynomial":
+        g = self.content()
+        if g <= 1:
+            return self
+        return self._new(1, {d: c // g for d, c in self._terms.items()})
+
+    def shift(self, k: int) -> "IntPolynomial":
+        """Multiply by X^k."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        return self._new(1, {d + k: c for d, c in self._terms.items()})
+
+    def evaluate(self, x):
+        return sum(c * x**d for d, c in self._terms.items())
 
 
 _TERM_RE = re.compile(r"^(\d+)?\s*(X(?:\^(\d+))?)?$")
@@ -187,7 +220,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
         return IntPolynomial()
     # split into signed terms at top level
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    out: dict[int, int] = {}
+    terms = []
     for chunk in chunks:
         if not chunk:
             continue
@@ -208,8 +241,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
             deg = 1
         else:
             deg = int(m.group(3))
-        out[deg] = out.get(deg, 0) + sign * coeff
-    return IntPolynomial(out)
+        terms.append((deg, sign * coeff))
+    return IntPolynomial(terms)
 
 
 def divmod_rational(a: IntPolynomial, b: IntPolynomial):
@@ -260,10 +293,10 @@ def exact_div(a: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    lb = b.leading_coefficient
+    lb, db = b.leading_coefficient, b.degree
     r = a
-    while not r.is_zero and r.degree >= b.degree:
-        r = r * lb - b.shift(r.degree - b.degree) * r.leading_coefficient
+    while (dr := r.degree) >= db:
+        r = r * lb + b.shift(dr - db) * -r.coeff(dr)
     return r
 
 

@@ -236,13 +236,12 @@ def position_matrix(endo: Endomorphism, lt: LengthType) -> PolyMatrix:
         raise ValueError("length type size does not match the unknown count")
     rows = []
     for i in range(n):
-        out: list[dict[int, int]] = [dict() for _ in range(n)]
+        cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         pos = 0
         for z in endo[i]:
-            cell = out[z - 1]
-            cell[pos] = cell.get(pos, 0) + 1
+            cells[z - 1].append((pos, 1))
             pos += lt[z - 1]
-        rows.append(tuple(IntPolynomial(cell) for cell in out))
+        rows.append(tuple(IntPolynomial(cell) for cell in cells))
     return PolyMatrix(tuple(rows))
 
 

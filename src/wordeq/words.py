@@ -201,7 +201,7 @@ def _in_star(word: tuple[int, ...], pieces) -> bool:
     return reach[size]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _minimal_factor_cover(images: tuple[tuple[int, ...], ...]) -> int:
     """Least r such that some r-word set A has every image in A*.
 

@@ -13,7 +13,8 @@ from wordeq.polynomials import IntPolynomial, exact_div
 
 
 def _pivot_weight(p: IntPolynomial):
-    return (p.degree, len(p._coeffs), sum(abs(c) for c in p._coeffs.values()))
+    terms = p.items()
+    return (p.degree, len(terms), sum(abs(c) for _, c in terms))
 
 
 def symbolic_rank(matrix: PolyMatrix) -> int:

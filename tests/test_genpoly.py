@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -45,6 +46,10 @@ class TestLinForm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LinForm((1, -1))
+
+    def test_order_rejects_other_unknown_counts(self):
+        with pytest.raises(ValueError, match="different unknown counts"):
+            LinForm((1,)).le(LinForm((1, 2)))
 
 
 class TestSPolynomial:
@@ -168,6 +173,19 @@ class TestIso:
             )
             g1, g2 = mk(), mk()
             assert iso_multivariate(g1 * g2) == iso_multivariate(g1) * iso_multivariate(g2)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (MultiPoly(2, {(1, 0): 1}), MultiPoly(3, {(0, 0, 1): 1})),
+            (GenPoly(2, [(LinForm((1, 0)), 1)]), GenPoly(3, [(LinForm((0, 0, 1)), 1)])),
+        ],
+        ids=["MultiPoly", "GenPoly"],
+    )
+    def test_operands_over_different_unknown_counts_rejected(self, op, a, b):
+        with pytest.raises(ValueError, match="operands live over different unknown counts"):
+            op(a, b)
 
     def test_injective_on_samples(self):
         rng = random.Random(61)

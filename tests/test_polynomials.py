@@ -4,7 +4,9 @@ import random
 import pytest
 
 from wordeq import (
+    GenPoly,
     IntPolynomial,
+    MultiPoly,
     RationalFunction,
     Word,
     encode_poly,
@@ -45,6 +47,13 @@ class TestIntPolynomial:
 
     def test_evaluate(self):
         assert P("1 + 2X + X^2").evaluate(3) == 16
+
+    def test_public_state_is_read_only(self):
+        for p in (P("1 + X"), GenPoly(2), MultiPoly(2)):
+            with pytest.raises(AttributeError):
+                p.n = 5
+            with pytest.raises(AttributeError):
+                p.extra = 1
 
     def test_render_increasing_degree(self):
         assert P("1 + 2X + X^2 + 2X^3").to_text() == "1 + 2X + X^2 + 2X^3"

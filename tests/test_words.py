@@ -15,6 +15,8 @@ from wordeq import (
     primitive_root,
 )
 
+from wordeq.words import _minimal_factor_cover
+
 from conftest import morphism
 
 
@@ -133,6 +135,9 @@ class TestCombinatorialRank:
             r = combinatorial_rank(h)
             assert 1 <= r <= 3
             assert (r == 1) == is_periodic(h)
+
+    def test_rank_cache_is_bounded(self):
+        assert _minimal_factor_cover.cache_info().maxsize is not None
 
     def test_factor_set_witness_matches(self):
         # brute-force cross-check on mixed images
