@@ -24,7 +24,6 @@ from .equations import (
     q_polynomial,
     rank_by_evaluation,
     rank_polymatrix,
-    rank_theorem_check,
     rational_matrix_rank,
     residual,
 )
@@ -46,6 +45,7 @@ from .oracle import (
     independence_check,
     power_identity_check,
     rank_annotate,
+    rank_theorem_check,
 )
 from .polynomials import (
     FineWilfVerdict,

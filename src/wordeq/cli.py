@@ -132,7 +132,7 @@ def _read(path: str) -> str:
 
 def _parse_lengths(text: str, n: int) -> LengthType:
     try:
-        lt = LengthType(tuple(int(p) for p in text.split(",")))
+        lt = LengthType(int(p) for p in text.split(","))
     except ValueError as exc:
         raise InputFormatError(f"bad length vector {text!r}: {exc}") from None
     if len(lt) != n:
@@ -143,7 +143,7 @@ def _parse_lengths(text: str, n: int) -> LengthType:
 def _words(args, out: _Report, *dests: str, empty_error: str | None = None):
     """Parse and echo the word arguments ``dests``; given ``empty_error``, reject empty ones."""
     words = [parse_word(getattr(args, dest)) for dest in dests]
-    if empty_error is not None and not all(w.letters for w in words):
+    if empty_error is not None and not all(words):
         raise InputFormatError(empty_error)
     for dest, w in zip(dests, words):
         out.inputs[dest] = w.to_text()
@@ -337,14 +337,7 @@ def _system_enumerate(args, out):
         out.inputs["rank"] = args.rank
     out.results["candidates_visited"] = sols.candidates_visited
     out.results["solution_count"] = len(sols.solutions)
-    out.results["solutions"] = [
-        {
-            "images": [w.to_text() for w in h.images],
-            "length_type": list(h.length_type()),
-            "rank": sols.ranks[i],
-        }
-        for i, h in enumerate(sols.solutions)
-    ]
+    out.results["solutions"] = sols.entries()
     if args.jsonl:
         out.results["jsonl"] = sols.to_json_lines()
 

@@ -238,7 +238,7 @@ def cover_soundness_check(eq1: Equation, eq2: Equation, cover: HyperplaneCover, 
     for h in solutions:
         if not (eq1.holds_for(h) and eq2.holds_for(h)):
             raise ValueError("a supplied morphism does not solve the pair")
-        lt = tuple(h.length_type())
+        lt = h.length_type()
         if not cover.covers(lt):
             raise TheoremCheckError(
                 f"length type {lt} escapes the cover",
@@ -368,7 +368,7 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
         return {"applicable": False, "reason": "a trivial equation"}
     if not (eq1.holds_for(h) and eq2.holds_for(h)):
         return {"applicable": False, "reason": "the morphism does not solve the pair"}
-    if any(not w.letters for w in h.images):
+    if not all(h.images):
         return {"applicable": False, "reason": "an empty image commutes with everything"}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -439,7 +439,7 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
             raise ValueError("chains are made of nontrivial equations")
     base = rank_annotate(enumerate_solutions([equations[0]], budget), n)
     current = base.of_rank(n - 1)
-    sets = [set(tuple(tuple(w.letters) for w in h.images) for h in current)]
+    sets = [{h.images for h in current}]
     strict = []
     for eq in equations[1:]:
         kept = {imgs for imgs in sets[-1] if eq.solved_by(imgs)}

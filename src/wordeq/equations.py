@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InputFormatError, TheoremCheckError
+from .errors import InputFormatError
 from .polynomials import IntPolynomial, encode_poly
 from .words import (
     LengthType,
     Morphism,
-    combinatorial_rank,
     default_names,
     resolve_unknown,
 )
@@ -57,7 +56,7 @@ class Equation:
         return self.lhs.count(x) + self.rhs.count(x)
 
     def holds_for(self, h: Morphism) -> bool:
-        return self.solved_by(tuple(w.letters for w in h.images))
+        return self.solved_by(h.images)
 
     def solved_by(self, images) -> bool:
         """Whether images, one letter tuple per unknown, make both sides equal."""
@@ -243,63 +242,6 @@ def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
     certified to be one, and tests compare it against random points.
     """
     return rational_matrix_rank(matrix.evaluate(point))
-
-
-def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> dict:
-    """Check the rank bound of the coefficient matrix against known solutions.
-
-    For every supplied solution of combinatorial rank r the matrix rank
-    must be at most n - r.  When the matrix rank is 1, at most one length
-    is zero and all equations are nontrivial, all equations must have
-    identical solution sets of this length type; that part is verified by
-    exhausting the morphisms of the given length type over the alphabet.
-    """
-    system = list(system)
-    n = system[0].n
-    matrix = coefficient_matrix(system, lt)
-    matrix_rank = rank_polymatrix(matrix)
-    ranks = []
-    for h in solutions:
-        if h.length_type() != lt:
-            raise ValueError("a supplied solution has the wrong length type")
-        for eq in system:
-            if not eq.holds_for(h):
-                raise ValueError("a supplied morphism does not solve the system")
-        r = combinatorial_rank(h, n)
-        ranks.append(r)
-        if matrix_rank > n - r:
-            raise TheoremCheckError(
-                f"matrix rank {matrix_rank} exceeds {n} - {r} for a rank-{r} solution",
-                report={"matrix_rank": matrix_rank, "solution_rank": r},
-            )
-    report = {
-        "matrix_rank": matrix_rank,
-        "solution_ranks": ranks,
-        "rank_bound_ok": True,
-    }
-    zeros = sum(1 for v in lt if v == 0)
-    applicable = matrix_rank == 1 and zeros <= 1 and all(not e.is_trivial for e in system)
-    claim2 = {"applicable": applicable}
-    if applicable:
-        candidates = 1
-        for v in lt:
-            candidates *= len(alphabet) ** v
-        if candidates > 10**6:
-            raise ValueError("length type too large for exhaustive comparison")
-        # oracle imports this module, so its core is imported here
-        from .oracle import solutions_of_length_type
-
-        sets = [set(solutions_of_length_type([eq], lt, alphabet)) for eq in system]
-        equal = all(s == sets[0] for s in sets[1:])
-        claim2["solution_sets_equal"] = equal
-        claim2["set_size"] = len(sets[0])
-        if not equal:
-            raise TheoremCheckError(
-                "rank-1 matrix but per-equation solution sets differ",
-                report={"sizes": [len(s) for s in sets]},
-            )
-    report["same_solution_sets"] = claim2
-    return report
 
 
 # --- text formats ---------------------------------------------------------

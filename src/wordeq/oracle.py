@@ -13,9 +13,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .equations import Equation
+from .equations import Equation, coefficient_matrix, rank_polymatrix
 from .errors import TheoremCheckError
 from .words import (
+    LengthType,
     Morphism,
     Word,
     combinatorial_rank,
@@ -79,7 +80,7 @@ class SolutionSet:
 
     def of_length_type(self, lt) -> "SolutionSet":
         wanted = tuple(lt)
-        keep = [i for i, h in enumerate(self.solutions) if tuple(h.length_type()) == wanted]
+        keep = [i for i, h in enumerate(self.solutions) if h.length_type() == wanted]
         return self._filtered(keep)
 
     def of_rank(self, r: int, cap: int | None = None) -> "SolutionSet":
@@ -102,23 +103,26 @@ class SolutionSet:
             ranks=tuple(self.ranks[i] for i in indices) if self.ranks is not None else None,
         )
 
-    def to_json_lines(self) -> str:
-        lines = []
-        for i, h in enumerate(self.solutions):
-            entry = {
+    def entries(self) -> list[dict]:
+        """One report entry per solution: its images, length type and rank."""
+        return [
+            {
                 "images": [w.to_text() for w in h.images],
                 "length_type": list(h.length_type()),
                 "rank": self.ranks[i] if self.ranks is not None else None,
             }
-            lines.append(json.dumps(entry))
-        return "\n".join(lines)
+            for i, h in enumerate(self.solutions)
+        ]
+
+    def to_json_lines(self) -> str:
+        return "\n".join(json.dumps(entry) for entry in self.entries())
 
 
 def solutions_of_length_type(system, lt, alphabet, word_cache=None):
     """Image tuples of one length type solving every equation, in enumeration order.
 
-    Images are letter tuples, one per unknown.  When some equation's two
-    sides differ in length at this length type nothing is scanned.
+    Images are Words, one per unknown.  When some equation's two sides
+    differ in length at this length type nothing is scanned.
     ``word_cache`` maps an image length to its words and may be shared
     between calls with the same alphabet.
     """
@@ -130,7 +134,7 @@ def solutions_of_length_type(system, lt, alphabet, word_cache=None):
     pools = []
     for k in lt:
         if k not in word_cache:
-            word_cache[k] = list(words_of_length(alphabet, k))
+            word_cache[k] = [Word(w) for w in words_of_length(alphabet, k)]
         pools.append(word_cache[k])
     # bound methods and for/else: all() over a generator is measurably slower here
     checks = [eq.solved_by for eq in system]
@@ -158,13 +162,13 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
         raise ValueError("an empty system needs an explicit unknown count")
     found = []
     visited = 0
-    word_cache: dict[int, list[tuple[int, ...]]] = {}
+    word_cache: dict[int, list[Word]] = {}
     size = len(budget.alphabet)
     for lt in length_types_up_to(n, budget.max_total_length):
         visited += size ** sum(lt)
         found.extend(solutions_of_length_type(system, lt, budget.alphabet, word_cache))
     found.sort(key=lambda images: (tuple(len(w) for w in images), images))
-    solutions = tuple(Morphism(tuple(Word(w) for w in images)) for images in found)
+    solutions = tuple(Morphism(images) for images in found)
     return SolutionSet(
         system=system, n=n, budget=budget, solutions=solutions, candidates_visited=visited
     )
@@ -186,11 +190,11 @@ def rank_annotate(solset: SolutionSet, cap: int | None = None) -> SolutionSet:
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
     """First morphism within budget solving the subsystem but not the omitted equation."""
-    word_cache: dict[int, list[tuple[int, ...]]] = {}
+    word_cache: dict[int, list[Word]] = {}
     for lt in length_types_up_to(n, budget.max_total_length):
         for images in solutions_of_length_type(subsystem, lt, budget.alphabet, word_cache):
             if not omitted.solved_by(images):
-                return Morphism(tuple(Word(w) for w in images))
+                return Morphism(images)
     return None
 
 
@@ -239,6 +243,60 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
     return {"verdict": verdict, "budget": budget.describe(), "subsystems": entries}
 
 
+def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> dict:
+    """Check the rank bound of the coefficient matrix against known solutions.
+
+    For every supplied solution of combinatorial rank r the matrix rank
+    must be at most n - r.  When the matrix rank is 1, at most one length
+    is zero and all equations are nontrivial, all equations must have
+    identical solution sets of this length type; that part is verified by
+    exhausting the morphisms of the given length type over the alphabet.
+    """
+    system = list(system)
+    n = system[0].n
+    matrix = coefficient_matrix(system, lt)
+    matrix_rank = rank_polymatrix(matrix)
+    ranks = []
+    for h in solutions:
+        if h.length_type() != lt:
+            raise ValueError("a supplied solution has the wrong length type")
+        for eq in system:
+            if not eq.holds_for(h):
+                raise ValueError("a supplied morphism does not solve the system")
+        r = combinatorial_rank(h, n)
+        ranks.append(r)
+        if matrix_rank > n - r:
+            raise TheoremCheckError(
+                f"matrix rank {matrix_rank} exceeds {n} - {r} for a rank-{r} solution",
+                report={"matrix_rank": matrix_rank, "solution_rank": r},
+            )
+    report = {
+        "matrix_rank": matrix_rank,
+        "solution_ranks": ranks,
+        "rank_bound_ok": True,
+    }
+    zeros = sum(1 for v in lt if v == 0)
+    applicable = matrix_rank == 1 and zeros <= 1 and all(not e.is_trivial for e in system)
+    claim2 = {"applicable": applicable}
+    if applicable:
+        candidates = 1
+        for v in lt:
+            candidates *= len(alphabet) ** v
+        if candidates > 10**6:
+            raise ValueError("length type too large for exhaustive comparison")
+        sets = [set(solutions_of_length_type([eq], lt, alphabet)) for eq in system]
+        equal = all(s == sets[0] for s in sets[1:])
+        claim2["solution_sets_equal"] = equal
+        claim2["set_size"] = len(sets[0])
+        if not equal:
+            raise TheoremCheckError(
+                "rank-1 matrix but per-equation solution sets differ",
+                report={"sizes": [len(s) for s in sets]},
+            )
+    report["same_solution_sets"] = claim2
+    return report
+
+
 def entire_system_sample(h: Morphism, max_eq_length: int) -> list[Equation]:
     """All equations up to a total length satisfied by the morphism.
 
@@ -255,7 +313,7 @@ def entire_system_sample(h: Morphism, max_eq_length: int) -> list[Equation]:
             base = image_of[shorter]
             for x in range(1, n + 1):
                 side = shorter + (x,)
-                image_of[side] = base + h.images[x - 1].letters
+                image_of[side] = base + h.images[x - 1]
                 layer.append(side)
         sides_by_len.append(layer)
     out = []
@@ -285,7 +343,7 @@ def power_identity_check(s, t, u, v, indices) -> dict:
         raise ValueError("need at least one repeated factor on each side")
     if len(s) != m + 1 or len(t) != n + 1:
         raise ValueError("separator counts must exceed factor counts by one")
-    if any(not w.letters for w in u) or any(not w.letters for w in v):
+    if not all(u) or not all(v):
         raise ValueError("repeated factors must be nonempty")
     idx = sorted(set(indices))
     if len(idx) < m + n or any(i < 0 for i in idx):

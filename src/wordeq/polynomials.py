@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InputFormatError, TheoremCheckError
@@ -245,51 +244,33 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial(terms)
 
 
-def divmod_rational(a: IntPolynomial, b: IntPolynomial):
-    """Quotient and remainder over the rationals as degree -> Fraction maps."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = {d: Fraction(c) for d, c in a.items()}
-    quo: dict[int, Fraction] = {}
-    db = b.degree
-    lb = b.leading_coefficient
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        f = rem[dr] / lb
-        quo[dr - db] = f
-        for d, c in b.items():
-            nd = d + dr - db
-            v = rem.get(nd, Fraction(0)) - f * c
-            if v:
-                rem[nd] = v
-            elif nd in rem:
-                del rem[nd]
-    return quo, rem
-
-
 def divides(d: IntPolynomial, a: IntPolynomial) -> bool:
     """Whether d divides a over the rationals (d nonzero)."""
     if d.is_zero:
         return a.is_zero
-    _, rem = divmod_rational(a, d)
-    return not rem
+    return _pseudo_rem(a, d).is_zero
 
 
 def exact_div(a: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
-    """Exact division in the integer polynomial ring; raises if inexact."""
+    """Exact division in the integer polynomial ring; raises if inexact.
+
+    Integer long division: each quotient coefficient must be an integer,
+    and no remainder may be left.
+    """
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    quo, rem = divmod_rational(a, d)
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    out = {}
-    for deg, f in quo.items():
-        if f.denominator != 1:
+    ld, dd = d.leading_coefficient, d.degree
+    quo = {}
+    r = a
+    while (dr := r.degree) >= dd:
+        q, left = divmod(r.coeff(dr), ld)
+        if left:
             raise ArithmeticError("quotient has non-integer coefficients")
-        out[deg] = int(f)
-    return IntPolynomial(out)
+        quo[dr - dd] = q
+        r = r + d.shift(dr - dd) * -q
+    if not r.is_zero:
+        raise ArithmeticError("inexact polynomial division")
+    return IntPolynomial(quo)
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -404,12 +385,12 @@ def parse_rational(text: str) -> RationalFunction:
 
 def encode_poly(w: Word) -> IntPolynomial:
     """Polynomial encoding: letter at position k becomes the X^k coefficient."""
-    return IntPolynomial({k: a for k, a in enumerate(w.letters)})
+    return IntPolynomial({k: a for k, a in enumerate(w)})
 
 
 def encode_ratfun(w: Word) -> RationalFunction:
     """Reduced form of P(w)/(X^|w| - 1); undefined for the empty word."""
-    if not w.letters:
+    if not w:
         raise ValueError("the rational encoding needs a nonempty word")
     return RationalFunction(encode_poly(w), x_power_minus_one(len(w)))
 
@@ -426,8 +407,8 @@ def poly_concat_identity(ws) -> IntPolynomial:
     for w in ws:
         total = total + encode_poly(w).shift(offset)
         offset += len(w)
-        cat.extend(w.letters)
-    direct = encode_poly(Word(tuple(cat)))
+        cat.extend(w)
+    direct = encode_poly(Word(cat))
     if total != direct:
         raise TheoremCheckError("blockwise encoding disagrees with direct encoding")
     return total
@@ -439,7 +420,7 @@ def primdiv_check(w: Word) -> bool:
     A primitive word always yields True; when the check fails the word is
     verified to be a proper power (the quotient spells out the period).
     """
-    if not w.letters:
+    if not w:
         raise ValueError("primdiv_check needs a nonempty word")
     n = len(w)
     p = encode_poly(w)
@@ -466,13 +447,13 @@ def fine_wilf_check(u: Word, v: Word, prefix_len: int) -> FineWilfVerdict:
     |u| + |v| - gcd(|u|, |v|) letters; in that case equal primitive roots
     are guaranteed and verified.
     """
-    if not u.letters or not v.letters:
+    if not u or not v:
         raise ValueError("fine_wilf_check needs nonempty words")
     if prefix_len < 0:
         raise ValueError("prefix length must be nonnegative")
     lu, lv = len(u), len(v)
     bound = lu + lv - gcd(lu, lv)
-    agreement = all(u.letters[i % lu] == v.letters[i % lv] for i in range(prefix_len))
+    agreement = all(u[i % lu] == v[i % lv] for i in range(prefix_len))
     premise = agreement and prefix_len >= bound
     roots_equal = primitive_root(u) == primitive_root(v)
     if premise and not roots_equal:

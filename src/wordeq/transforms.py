@@ -143,9 +143,9 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
     if not eq.holds_for(h):
         raise ValueError("the morphism does not solve the equation")
     n = eq.n
-    erased = tuple(i for i in range(1, n + 1) if not h.images[i - 1].letters)
+    erased = tuple(i for i in range(1, n + 1) if not h.images[i - 1])
     gone = set(erased)
-    images = {i: h.images[i - 1].letters for i in range(1, n + 1) if i not in gone}
+    images = {i: h.images[i - 1] for i in range(1, n + 1) if i not in gone}
     u = tuple(x for x in eq.lhs if x not in gone)
     v = tuple(x for x in eq.rhs if x not in gone)
     steps: list[ElementaryTransformation] = []
@@ -258,7 +258,7 @@ def verify_composition_identities(endo: Endomorphism, g: Morphism) -> dict:
     composite = morphism_after_endo(g, endo)
     a = abelian_matrix(endo)
     lt_expected = a.apply(g.length_type())
-    lt_actual = tuple(composite.length_type())
+    lt_actual = composite.length_type()
     if lt_actual != lt_expected:
         raise TheoremCheckError("length-type identity failed", report={"endo": endo})
     b = position_matrix(endo, g.length_type())

@@ -15,51 +15,47 @@ from functools import lru_cache
 from .errors import InputFormatError
 
 
-@dataclass(frozen=True)
-class Word:
-    """Immutable word over an alphabet of positive integers."""
+class Word(tuple):
+    """Immutable word over an alphabet of positive integers: its letter tuple.
 
-    letters: tuple[int, ...] = ()
+    Indexing, slicing, comparison and hashing are the tuple's own, so a
+    slice is a plain tuple; ``+`` and ``*`` give Words.
+    """
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        for a in letters:
+    __slots__ = ()
+
+    def __new__(cls, letters=()):
+        self = super().__new__(cls, letters)
+        for a in self:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
+        return self
 
-    def __len__(self):
-        return len(self.letters)
+    @property
+    def letters(self) -> "Word":
+        """The word itself, for callers written against the letter field."""
+        return self
 
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Word(self.letters[index])
-        return self.letters[index]
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+    def __add__(self, other) -> "Word":
+        return Word(tuple.__add__(self, other))
 
     def __mul__(self, k: int) -> "Word":
         if k < 0:
             raise ValueError("negative powers of words are undefined")
-        return Word(self.letters * k)
+        return Word(tuple.__mul__(self, k))
 
-    def __bool__(self):
-        return bool(self.letters)
+    __rmul__ = __mul__
 
     @property
     def is_empty(self) -> bool:
-        return not self.letters
+        return not self
 
     def to_text(self) -> str:
-        if not self.letters:
+        if not self:
             return "eps"
-        if all(a <= 9 for a in self.letters):
-            return "".join(str(a) for a in self.letters)
-        return "[" + ",".join(str(a) for a in self.letters) + "]"
+        if all(a <= 9 for a in self):
+            return "".join(str(a) for a in self)
+        return "[" + ",".join(str(a) for a in self) + "]"
 
     def __str__(self):
         return self.to_text()
@@ -68,35 +64,25 @@ class Word:
 EMPTY_WORD = Word()
 
 
-@dataclass(frozen=True)
-class LengthType:
+class LengthType(tuple):
     """Vector of image lengths; induces the additive length map on unknowns."""
 
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        lengths = tuple(self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        for v in lengths:
+    def __new__(cls, lengths):
+        self = super().__new__(cls, lengths)
+        for v in self:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"length type entries must be nonnegative, got {v!r}")
-
-    def __len__(self):
-        return len(self.lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
-
-    def __getitem__(self, i):
-        return self.lengths[i]
+        return self
 
     @property
     def total(self) -> int:
-        return sum(self.lengths)
+        return sum(self)
 
     def apply(self, unknowns) -> int:
         """Length of the image of a word over unknowns, computed from lengths only."""
-        return sum(self.lengths[x - 1] for x in unknowns)
+        return sum(self[x - 1] for x in unknowns)
 
 
 @dataclass(frozen=True)
@@ -124,19 +110,19 @@ class Morphism:
         """Concatenation of the images along a word over unknowns."""
         letters = []
         for x in unknowns:
-            letters.extend(self.images[x - 1].letters)
-        return Word(tuple(letters))
+            letters.extend(self.images[x - 1])
+        return Word(letters)
 
     def length_type(self) -> LengthType:
-        return LengthType(tuple(len(w) for w in self.images))
+        return LengthType(len(w) for w in self.images)
 
     @property
     def is_nonerasing(self) -> bool:
-        return all(w.letters for w in self.images)
+        return all(self.images)
 
     @property
     def all_empty(self) -> bool:
-        return all(not w.letters for w in self.images)
+        return not any(self.images)
 
 
 def _divisors(num: int):
@@ -147,13 +133,12 @@ def _divisors(num: int):
 
 def primitive_root(w: Word) -> Word:
     """Shortest word u with w = u^k; the input must be nonempty."""
-    if not w.letters:
+    if not w:
         raise ValueError("the empty word has no primitive root")
-    letters = w.letters
-    size = len(letters)
+    size = len(w)
     for p in _divisors(size):
-        if all(letters[i] == letters[i % p] for i in range(p, size)):
-            return Word(letters[:p])
+        if all(w[i] == w[i % p] for i in range(p, size)):
+            return Word(w[:p])
     return w
 
 
@@ -163,7 +148,7 @@ def commute_check(u: Word, v: Word) -> bool:
     Computed from the roots and cross-checked against the direct test
     uv = vu, which must agree.
     """
-    if not u.letters or not v.letters:
+    if not u or not v:
         raise ValueError("commutation is only defined for nonempty words")
     by_root = primitive_root(u) == primitive_root(v)
     direct = (u + v) == (v + u)
@@ -174,7 +159,7 @@ def commute_check(u: Word, v: Word) -> bool:
 
 def is_periodic(h: Morphism) -> bool:
     """True when all nonempty images are powers of one common primitive word."""
-    roots = {primitive_root(w).letters for w in h.images if w.letters}
+    roots = {primitive_root(w) for w in h.images if w}
     return len(roots) <= 1
 
 
@@ -202,7 +187,7 @@ def _in_star(word: tuple[int, ...], pieces) -> bool:
 
 
 @lru_cache(maxsize=1 << 16)
-def _minimal_factor_cover(images: tuple[tuple[int, ...], ...]) -> int:
+def _minimal_factor_cover(images: tuple[Word, ...]) -> int:
     """Least r such that some r-word set A has every image in A*.
 
     The images are distinct, nonempty and sorted.  A minimal A can always
@@ -211,7 +196,7 @@ def _minimal_factor_cover(images: tuple[tuple[int, ...], ...]) -> int:
     """
     if not images:
         return 0
-    roots = {primitive_root(Word(w)).letters for w in images}
+    roots = {primitive_root(w) for w in images}
     if len(roots) == 1:
         return 1
     upper = len(images)
@@ -240,8 +225,7 @@ def combinatorial_rank(h: Morphism, cap: int | None = None) -> int | None:
         cap = h.n
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    key = tuple(sorted({w.letters for w in h.images if w.letters}))
-    rank = _minimal_factor_cover(key)
+    rank = _minimal_factor_cover(tuple(sorted({w for w in h.images if w})))
     return rank if rank <= cap else None
 
 
@@ -259,11 +243,11 @@ def parse_word(text: str) -> Word:
         inner = text[1:-1].strip()
         if not inner:
             return EMPTY_WORD
-        return Word(tuple(int(p) for p in inner.split(",")))
+        return Word(int(p) for p in inner.split(","))
     if text.isdigit():
         if "0" in text:
             raise InputFormatError(f"word {text!r} contains the letter 0")
-        return Word(tuple(int(c) for c in text))
+        return Word(int(c) for c in text)
     raise InputFormatError(f"cannot parse word {text!r}")
 
 

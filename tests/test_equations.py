@@ -301,6 +301,10 @@ class TestRankTheoremCheck:
         report = rank_theorem_check([eq], lt, sols)
         assert report["rank_bound_ok"]
 
+    def test_plain_tuple_length_type_accepted(self):
+        report = rank_theorem_check([eq1("x y = y x")], (1, 1), [morphism((1,), (1,))])
+        assert report["matrix_rank"] == 1 and report["solution_ranks"] == [1]
+
     def test_wrong_length_type_rejected(self):
         with pytest.raises(ValueError):
             rank_theorem_check([CYCLE], L112, [morphism((1,), (2,), (1,))])

@@ -72,6 +72,25 @@ class TestIntPolynomial:
         with pytest.raises(ArithmeticError):
             exact_div(P("1 + X^2"), P("1 + X"))
 
+    def test_exact_division_inverts_products(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            b = IntPolynomial({rng.randrange(6): rng.randint(-9, 9) for _ in range(3)})
+            c = IntPolynomial({rng.randrange(6): rng.randint(-9, 9) for _ in range(3)})
+            if c.is_zero:
+                continue
+            assert exact_div(b * c, c) == b
+            assert divides(c, b * c)
+
+    def test_exact_division_rejects_rational_quotients(self):
+        # (1 + X)/(2 + 2X) = 1/2: exact over the rationals, not over the integers
+        assert divides(P("2 + 2X"), P("1 + X"))
+        with pytest.raises(ArithmeticError):
+            exact_div(P("1 + X"), P("2 + 2X"))
+        assert not divides(P("2 + X"), P("1 + X"))
+        with pytest.raises(ZeroDivisionError):
+            exact_div(P("1"), IntPolynomial())
+
 
 class TestEncode:
     def test_alternating_word(self):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -54,6 +55,18 @@ class TestWord:
     def test_parse_rejects_zero_letter(self):
         with pytest.raises(ValueError):
             parse_word("102")
+
+    def test_word_is_its_letter_tuple(self):
+        w = Word((1, 2, 1))
+        assert isinstance(w, tuple) and w == (1, 2, 1) and hash(w) == hash((1, 2, 1))
+        assert w.letters is w
+        assert w[1] == 2 and w[1:] == (2, 1) and type(w[1:]) is tuple
+        assert type(w + w) is Word and type(w * 2) is Word and type(2 * w) is Word
+        assert type(pickle.loads(pickle.dumps(w))) is Word
+        with pytest.raises(ValueError, match="letters must be positive integers"):
+            Word((1, True))
+        with pytest.raises(ValueError, match="negative powers"):
+            w * -1
 
 
 class TestPrimitiveRoot:
@@ -175,6 +188,13 @@ class TestLengthType:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LengthType((1, -1))
+
+    def test_length_type_is_its_length_tuple(self):
+        lt = morphism((1,), (2,), (1, 2)).length_type()
+        assert type(lt) is LengthType and lt == (1, 1, 2) and lt.total == 4
+        assert lt[2] == 2 and len(lt) == 3
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            LengthType((1, "2"))
 
 
 class TestMorphismText:
