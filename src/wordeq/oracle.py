@@ -253,6 +253,9 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
     exhausting the morphisms of the given length type over the alphabet.
     """
     system = list(system)
+    if not system:
+        raise ValueError("the rank theorem check needs at least one equation")
+    lt = LengthType(lt)
     n = system[0].n
     matrix = coefficient_matrix(system, lt)
     matrix_rank = rank_polymatrix(matrix)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import InputFormatError, TheoremCheckError
@@ -251,34 +252,62 @@ def divides(d: IntPolynomial, a: IntPolynomial) -> bool:
     return _pseudo_rem(a, d).is_zero
 
 
+def _coeff_list(p: IntPolynomial) -> list:
+    """Dense coefficients of p, indexed by degree."""
+    out = [0] * (p.degree + 1)
+    for k, c in p._terms.items():
+        out[k] = c
+    return out
+
+
 def exact_div(a: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
     """Exact division in the integer polynomial ring; raises if inexact.
 
-    Integer long division: each quotient coefficient must be an integer,
-    and no remainder may be left.
+    Integer long division on a dense coefficient list: each quotient
+    coefficient must be an integer, and no remainder may be left.
     """
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     ld, dd = d.leading_coefficient, d.degree
+    lower = [(k, c) for k, c in d._terms.items() if k < dd]
+    r = _coeff_list(a)
     quo = {}
-    r = a
-    while (dr := r.degree) >= dd:
-        q, left = divmod(r.coeff(dr), ld)
-        if left:
-            raise ArithmeticError("quotient has non-integer coefficients")
-        quo[dr - dd] = q
-        r = r + d.shift(dr - dd) * -q
-    if not r.is_zero:
+    for top in range(len(r) - 1, dd - 1, -1):
+        if c := r[top]:
+            q, left = divmod(c, ld)
+            if left:
+                raise ArithmeticError("quotient has non-integer coefficients")
+            shift = top - dd
+            quo[shift] = q
+            for k, dc in lower:
+                r[shift + k] -= q * dc
+    if any(r[:dd]):
         raise ArithmeticError("inexact polynomial division")
-    return IntPolynomial(quo)
+    return IntPolynomial._new(1, quo)
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Remainder of lc(b)^k a by b, with one factor lc(b) per elimination step."""
+    r = _reduce(_coeff_list(a), b)
+    return IntPolynomial._new(1, {k: c for k, c in enumerate(r) if c})
+
+
+def _reduce(r: list, b: IntPolynomial) -> list:
+    """Pseudo-remainder of the dense coefficient list r by b, below b's degree.
+
+    Works in place: each step scales r by lc(b) (unless b is monic) and
+    cancels its top coefficient with a shifted multiple of b.
+    """
     lb, db = b.leading_coefficient, b.degree
-    r = a
-    while (dr := r.degree) >= db:
-        r = r * lb + b.shift(dr - db) * -r.coeff(dr)
-    return r
+    lower = [(k, c) for k, c in b._terms.items() if k < db]
+    for top in range(len(r) - 1, db - 1, -1):
+        if c := r[top]:
+            if lb != 1:
+                r[:top] = [v * lb for v in r[:top]]
+            shift = top - db
+            for k, bc in lower:
+                r[shift + k] -= c * bc
+    return r[:db]
 
 
 def _normalize_gcd(p: IntPolynomial) -> IntPolynomial:
@@ -319,6 +348,16 @@ def power_sum(n: int, d: int) -> IntPolynomial:
     return IntPolynomial({k: 1 for k in range(0, n, d)})
 
 
+@lru_cache(maxsize=256)
+def cyclotomic(d: int) -> IntPolynomial:
+    """The d-th cyclotomic polynomial: X^d - 1 divided by every lower one of order dividing d."""
+    p = x_power_minus_one(d)
+    for e in range(1, d):
+        if d % e == 0:
+            p = exact_div(p, cyclotomic(e))
+    return p
+
+
 class RationalFunction:
     """Quotient of integer polynomials in a unique reduced form.
 
@@ -348,6 +387,14 @@ class RationalFunction:
                 denominator = -denominator
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _reduced(cls, numerator: IntPolynomial, denominator: IntPolynomial) -> "RationalFunction":
+        """Wrap a pair already in reduced form, skipping the gcd and normalisation."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "numerator", numerator)
+        object.__setattr__(r, "denominator", denominator)
+        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -388,11 +435,41 @@ def encode_poly(w: Word) -> IntPolynomial:
     return IntPolynomial({k: a for k, a in enumerate(w)})
 
 
+def _cyclotomic_orders(w: Word) -> dict:
+    """For each d dividing |w|, whether the d-th cyclotomic polynomial divides P(w).
+
+    It divides X^d - 1, so it divides P(w) exactly when it divides P(w)
+    mod X^d - 1: the letters of w summed by position mod d, a polynomial of
+    degree below d.  The first one, X - 1, never divides, since letters are
+    positive.
+    """
+    m = len(w)
+    return {
+        d: d > 1 and not any(_reduce([sum(w[i::d]) for i in range(d)], cyclotomic(d)))
+        for d in range(1, m + 1)
+        if m % d == 0
+    }
+
+
 def encode_ratfun(w: Word) -> RationalFunction:
-    """Reduced form of P(w)/(X^|w| - 1); undefined for the empty word."""
+    """Reduced form of P(w)/(X^|w| - 1); undefined for the empty word.
+
+    The reduced form is that of the primitive root u, of length p.  X^p - 1
+    is the squarefree product of the cyclotomic polynomials of orders
+    dividing p, so its gcd G with P(u) is the product of those that divide
+    P(u).  The reduced pair is P(u)/G over (X^p - 1)/G, the product of the
+    others; both divisions are by a monic G, and the monic denominator
+    needs no content or sign normalisation.
+    """
     if not w:
         raise ValueError("the rational encoding needs a nonempty word")
-    return RationalFunction(encode_poly(w), x_power_minus_one(len(w)))
+    root = primitive_root(w)
+    common = IntPolynomial.one()
+    for d, divides_root in _cyclotomic_orders(root).items():
+        if divides_root:
+            common = common * cyclotomic(d)
+    numerator = exact_div(encode_poly(root), common)
+    return RationalFunction._reduced(numerator, exact_div(x_power_minus_one(len(root)), common))
 
 
 def poly_concat_identity(ws) -> IntPolynomial:
@@ -417,14 +494,19 @@ def poly_concat_identity(ws) -> IntPolynomial:
 def primdiv_check(w: Word) -> bool:
     """True when no (X^|w|-1)/(X^d-1) with d a proper divisor divides P(w).
 
-    A primitive word always yields True; when the check fails the word is
-    verified to be a proper power (the quotient spells out the period).
+    That quotient is the product of the cyclotomic polynomials of orders e
+    dividing |w| but not d, and it divides P(w) exactly when each of them
+    does.  A primitive word always yields True; when the check fails the
+    word is verified to be a proper power (the quotient spells out the
+    period).
     """
     if not w:
         raise ValueError("primdiv_check needs a nonempty word")
     n = len(w)
-    p = encode_poly(w)
-    divisible = any(divides(power_sum(n, d), p) for d in range(1, n) if n % d == 0)
+    orders = _cyclotomic_orders(w)
+    divisible = any(
+        all(divides_w for e, divides_w in orders.items() if d % e) for d in orders if d < n
+    )
     if divisible and len(primitive_root(w)) == n:
         raise TheoremCheckError("a primitive word was divisible by a power-sum factor")
     return not divisible

@@ -305,6 +305,14 @@ class TestRankTheoremCheck:
         report = rank_theorem_check([eq1("x y = y x")], (1, 1), [morphism((1,), (1,))])
         assert report["matrix_rank"] == 1 and report["solution_ranks"] == [1]
 
+    def test_list_length_type_accepted(self):
+        report = rank_theorem_check([eq1("x y = y x")], [1, 1], [morphism((1,), (1,))])
+        assert report["matrix_rank"] == 1 and report["solution_ranks"] == [1]
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError, match="at least one equation"):
+            rank_theorem_check([], (1,), [])
+
     def test_wrong_length_type_rejected(self):
         with pytest.raises(ValueError):
             rank_theorem_check([CYCLE], L112, [morphism((1,), (2,), (1,))])

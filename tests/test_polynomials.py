@@ -20,7 +20,14 @@ from wordeq import (
     primdiv_check,
     primitive_root,
 )
-from wordeq.polynomials import divides, exact_div, power_sum, x_power_minus_one
+from wordeq.polynomials import (
+    _pseudo_rem,
+    cyclotomic,
+    divides,
+    exact_div,
+    power_sum,
+    x_power_minus_one,
+)
 
 
 def P(text):
@@ -91,6 +98,43 @@ class TestIntPolynomial:
         with pytest.raises(ZeroDivisionError):
             exact_div(P("1"), IntPolynomial())
 
+    def test_dense_pseudo_remainder_matches_term_arithmetic(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            a = IntPolynomial({rng.randrange(9): rng.randint(-9, 9) for _ in range(5)})
+            b = IntPolynomial({rng.randrange(5): rng.randint(-9, 9) for _ in range(3)})
+            if b.is_zero:
+                continue
+            r = a
+            while r.degree >= b.degree:
+                r = r * b.leading_coefficient - b.shift(r.degree - b.degree) * r.leading_coefficient
+            assert _pseudo_rem(a, b) == r
+
+
+class TestCyclotomic:
+    def test_orders_dividing_m_multiply_to_x_power_minus_one(self):
+        for m in range(1, 61):
+            product = IntPolynomial.one()
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    product = product * cyclotomic(d)
+            assert product == x_power_minus_one(m)
+
+    def test_power_sum_is_the_product_of_orders_not_dividing_d(self):
+        for n in range(2, 31):
+            for d in range(1, n):
+                if n % d == 0:
+                    product = IntPolynomial.one()
+                    for e in range(1, n + 1):
+                        if n % e == 0 and d % e:
+                            product = product * cyclotomic(e)
+                    assert product == power_sum(n, d)
+
+    def test_known_values(self):
+        assert cyclotomic(1) == P("-1 + X")
+        assert cyclotomic(6) == P("1 - X + X^2")
+        assert min(c for _, c in cyclotomic(105).items()) == -2
+
 
 class TestEncode:
     def test_alternating_word(self):
@@ -159,6 +203,18 @@ class TestRationalEncoding:
                 continue
             assert RationalFunction(a * b, b) == RationalFunction(a, one)
 
+    def test_matches_the_gcd_reduction(self):
+        # seeded words up to length 200 over 1-4 letters, every other one a proper power
+        rng = random.Random(2026)
+        for i in range(150):
+            m, letters = rng.randint(1, 200), i % 4 + 1
+            if i % 2 and m > 1:
+                p = rng.choice([d for d in range(1, m) if m % d == 0])
+                w = Word([rng.randint(1, letters) for _ in range(p)] * (m // p))
+            else:
+                w = Word([rng.randint(1, letters) for _ in range(m)])
+            assert encode_ratfun(w) == RationalFunction(encode_poly(w), x_power_minus_one(m))
+
     def test_round_trip(self):
         r = encode_ratfun(parse_word("1212"))
         assert parse_rational(r.to_text()) == r
@@ -196,6 +252,12 @@ class TestPrimdiv:
                 w = Word(tup)
                 primitive = len(primitive_root(w)) == len(w)
                 assert primdiv_check(w) == primitive
+
+    def test_equivalent_to_primitivity_over_three_letters(self):
+        for k in range(1, 9):
+            for tup in itertools.product((1, 2, 3), repeat=k):
+                w = Word(tup)
+                assert primdiv_check(w) == (len(primitive_root(w)) == len(w))
 
 
 class TestPolyGcd:
