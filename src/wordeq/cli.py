@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .covers import (
@@ -445,6 +447,79 @@ def _human_lines(report: dict) -> list[str]:
     return lines
 
 
+class _KeyTexts(dict):
+    """Object key -> its JSON text and the key separator; string keys are kept, so shared."""
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            text = self[key] = encode_basestring_ascii(key) + ": "
+            return text
+        # json's own coercion of a number, bool or None key, and its TypeError for any other
+        return json.dumps({key: 0})[1:-4] + ": "
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    An ``indent`` makes json use its pure-Python encoder, a generator per
+    container.  Here the pieces go into one list, joined once.  Line breaks,
+    indents and key texts are shared strings, so a large report adds one
+    list slot per piece, not a new string.
+    """
+    parts: list[str] = []
+    append = parts.append
+    breaks = ["\n"]  # breaks[d]: a line break and the indent of depth d
+    commas = [",\n"]  # commas[d]: a comma before breaks[d]
+    keys = _KeyTexts()
+    int_text = int.__repr__
+
+    def emit(value, depth):
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int_text(value))
+        elif isinstance(value, (list, tuple, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                append("{}" if is_dict else "[]")
+                return
+            inner = depth + 1
+            if inner == len(breaks):
+                breaks.append(breaks[-1] + "  ")
+                commas.append(commas[-1] + "  ")
+            comma = commas[inner]
+            append("{" if is_dict else "[")
+            first = len(parts)
+            for item in value.items() if is_dict else value:
+                append(comma)
+                if is_dict:
+                    key, item = item
+                    append(keys[key])
+                # strings and integers, most of a report, are written without a call
+                kind = type(item)
+                if kind is str:
+                    append(encode_basestring_ascii(item))
+                elif kind is int:
+                    append(int_text(item))
+                else:
+                    emit(item, inner)
+            parts[first] = breaks[inner]  # no comma before the first item
+            append(breaks[depth])
+            append("}" if is_dict else "]")
+        else:
+            # any other number, or json's TypeError for what it cannot encode
+            append(json.dumps(value))
+
+    emit(value, 0)
+    return "".join(parts)
+
+
 def run(argv) -> int:
     """Entry point used by tests; returns the process exit code."""
     parser = build_parser()
@@ -474,14 +549,24 @@ def run(argv) -> int:
         "elapsed_ms": elapsed,
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print("\n".join(_human_lines(report)))
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): point stdout at devnull so
+        # the flush at interpreter exit cannot fail again, as in the "Note on
+        # SIGPIPE" of Python's signal documentation
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

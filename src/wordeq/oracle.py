@@ -32,13 +32,15 @@ class EnumerationBudget:
     max_total_length: int = 10
 
     def __post_init__(self):
-        letters = tuple(sorted(set(self.alphabet)))
+        letters = tuple(self.alphabet)
+        # checked before deduplication, which would merge True into 1
+        for a in letters:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+                raise ValueError(f"alphabet letters must be positive integers, got {a!r}")
+        letters = tuple(sorted(set(letters)))
         object.__setattr__(self, "alphabet", letters)
         if not letters:
             raise ValueError("the alphabet must not be empty")
-        for a in letters:
-            if not isinstance(a, int) or a < 1:
-                raise ValueError(f"alphabet letters must be positive integers, got {a!r}")
         if self.max_total_length < 0:
             raise ValueError("max_total_length must be nonnegative")
 
@@ -105,40 +107,61 @@ class SolutionSet:
 
     def entries(self) -> list[dict]:
         """One report entry per solution: its images, length type and rank."""
+        texts = _Texts()
+        ranks = self.ranks if self.ranks is not None else (None,) * len(self.solutions)
         return [
             {
-                "images": [w.to_text() for w in h.images],
-                "length_type": list(h.length_type()),
-                "rank": self.ranks[i] if self.ranks is not None else None,
+                "images": [texts[w] for w in h.images],
+                "length_type": [len(w) for w in h.images],
+                "rank": rank,
             }
-            for i, h in enumerate(self.solutions)
+            for h, rank in zip(self.solutions, ranks)
         ]
 
     def to_json_lines(self) -> str:
         return "\n".join(json.dumps(entry) for entry in self.entries())
 
 
-def solutions_of_length_type(system, lt, alphabet, word_cache=None):
+class _Texts(dict):
+    """Word -> its text, rendered on first use."""
+
+    def __missing__(self, w):
+        text = self[w] = w.to_text()
+        return text
+
+
+class _WordPools(dict):
+    """Image length -> every word of that length over one alphabet, built on first use.
+
+    The alphabet is checked once, by Word's rule, so the pool words skip
+    the per-word check.  Over a sorted alphabet each pool is in
+    lexicographic order.
+    """
+
+    def __init__(self, alphabet):
+        super().__init__()
+        self.alphabet = Word(alphabet)
+
+    def __missing__(self, k):
+        pool = self[k] = [Word._trusted(w) for w in words_of_length(self.alphabet, k)]
+        return pool
+
+
+def solutions_of_length_type(system, lt, alphabet, pools=None):
     """Image tuples of one length type solving every equation, in enumeration order.
 
     Images are Words, one per unknown.  When some equation's two sides
-    differ in length at this length type nothing is scanned.
-    ``word_cache`` maps an image length to its words and may be shared
-    between calls with the same alphabet.
+    differ in length at this length type nothing is scanned.  ``pools``
+    (a ``_WordPools`` over the same alphabet) may be shared between calls.
     """
+    if pools is None:
+        pools = _WordPools(alphabet)
     for eq in system:
         if sum(lt[x - 1] for x in eq.lhs) != sum(lt[x - 1] for x in eq.rhs):
             return
-    if word_cache is None:
-        word_cache = {}
-    pools = []
-    for k in lt:
-        if k not in word_cache:
-            word_cache[k] = [Word(w) for w in words_of_length(alphabet, k)]
-        pools.append(word_cache[k])
     # bound methods and for/else: all() over a generator is measurably slower here
     checks = [eq.solved_by for eq in system]
-    for images in itertools.product(*pools):
+    for images in itertools.product(*[pools[k] for k in lt]):
         for solved in checks:
             if not solved(images):
                 break
@@ -160,15 +183,17 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
             raise ValueError("equations disagree on the number of unknowns")
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
-    found = []
+    found = {}
     visited = 0
-    word_cache: dict[int, list[Word]] = {}
+    pools = _WordPools(budget.alphabet)
     size = len(budget.alphabet)
     for lt in length_types_up_to(n, budget.max_total_length):
         visited += size ** sum(lt)
-        found.extend(solutions_of_length_type(system, lt, budget.alphabet, word_cache))
-    found.sort(key=lambda images: (tuple(len(w) for w in images), images))
-    solutions = tuple(Morphism(images) for images in found)
+        found[lt] = list(solutions_of_length_type(system, lt, budget.alphabet, pools))
+    # the budget's alphabet is sorted, so each block is in image order and
+    # ordering the blocks by length type sorts all solutions
+    trusted = Morphism._trusted
+    solutions = tuple(trusted(images) for lt in sorted(found) for images in found[lt])
     return SolutionSet(
         system=system, n=n, budget=budget, solutions=solutions, candidates_visited=visited
     )
@@ -190,11 +215,11 @@ def rank_annotate(solset: SolutionSet, cap: int | None = None) -> SolutionSet:
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
     """First morphism within budget solving the subsystem but not the omitted equation."""
-    word_cache: dict[int, list[Word]] = {}
+    pools = _WordPools(budget.alphabet)
     for lt in length_types_up_to(n, budget.max_total_length):
-        for images in solutions_of_length_type(subsystem, lt, budget.alphabet, word_cache):
+        for images in solutions_of_length_type(subsystem, lt, budget.alphabet, pools):
             if not omitted.solved_by(images):
-                return Morphism(images)
+                return Morphism._trusted(images)
     return None
 
 

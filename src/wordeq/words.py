@@ -31,6 +31,11 @@ class Word(tuple):
                 raise ValueError(f"letters must be positive integers, got {a!r}")
         return self
 
+    @classmethod
+    def _trusted(cls, letters) -> "Word":
+        """Wrap letters already known to be positive integers, skipping the check."""
+        return tuple.__new__(cls, letters)
+
     @property
     def letters(self) -> "Word":
         """The word itself, for callers written against the letter field."""
@@ -98,6 +103,13 @@ class Morphism:
         for w in self.images:
             if not isinstance(w, Word):
                 raise TypeError(f"morphism images must be Word instances, got {w!r}")
+
+    @classmethod
+    def _trusted(cls, images: tuple[Word, ...]) -> "Morphism":
+        """Wrap a nonempty tuple of Words, skipping the checks of ``__post_init__``."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "images", images)
+        return h
 
     @property
     def n(self) -> int:

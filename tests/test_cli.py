@@ -1,13 +1,18 @@
 import io
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wordeq.cli
-from wordeq.cli import COMMANDS, run
+from wordeq.cli import COMMANDS, _json_text, run
 from wordeq.polynomials import IntPolynomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +213,69 @@ class TestReportShape:
         b = invoke_json(["--json", "pair", "cover", "recipes/inputs/pair.txt"])
         a["elapsed_ms"] = b["elapsed_ms"] = 0
         assert a == b
+
+
+def random_json_value(rng, depth=0):
+    """A nested value of everything json encodes, with empty containers at every depth."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return "".join(rng.choice(['a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\x00', '\x1f',
+                                   '\x7f', 'é', 'ß', '€', '\u2028', '😀'])
+                       for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([True, False, None, 0.5, -1.25e-7, 1e300, float("inf"), float("nan")])
+    if kind in (2, 3):
+        return rng.choice([0, -1, 7, 2**64, -(10**40) - 3, rng.randint(-(2**70), 2**70)])
+    size = rng.randrange(4)
+    if kind in (4, 5):
+        items = [random_json_value(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if kind == 5 else items
+    keys = ["a", "é", 'q"', "", "x\ny", 1, -2, True, None]
+    return {rng.choice(keys): random_json_value(rng, depth + 1) for _ in range(size)}
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps_on_random_values(self):
+        rng = random.Random(8080)
+        for _ in range(2000):
+            value = random_json_value(rng)
+            assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_matches_json_dumps_on_edge_values(self):
+        for value in ({}, [], (), {"a": {}}, [[]], [{}, [[], {}]], {"k": [[], {"e": []}]}, "", 0):
+            assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "recipes" / "golden").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_matches_json_dumps_on_golden_reports(self, path):
+        text = path.read_text()
+        value = json.loads(text)
+        assert _json_text(value) == json.dumps(value, indent=2)
+        assert _json_text(value) + "\n" == text
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, [1, {"a": {2}}], {(1, 2): 3}, {"a": [object()]}, Fraction(1, 2), b"12",
+    ], ids=["set", "nested-set", "tuple-key", "object", "fraction", "bytes"])
+    def test_raises_type_error_where_json_dumps_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the report (about 1 MB) is far larger than a pipe buffer, so printing it
+    # meets the closed pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["--json", "system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "8"]
+    proc = subprocess.Popen([sys.executable, "-m", "wordeq.cli", *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 1
 
 
 class TestRecipes:

@@ -17,9 +17,10 @@ from wordeq import (
     parse_word,
     power_identity_check,
     rank_annotate,
+    rank_theorem_check,
     residual,
 )
-from wordeq.oracle import length_types_up_to
+from wordeq.oracle import length_types_up_to, solutions_of_length_type
 
 from conftest import eq1, morphism
 
@@ -163,11 +164,15 @@ def brute_force(system, n, max_total, alphabet):
                 yield lt, images, [h.apply(eq.lhs) == h.apply(eq.rhs) for eq in system]
 
 
-def test_oracle_matches_brute_force_on_random_systems():
-    rng = random.Random(20141)
+def compare_with_brute_force(rng, alphabet, systems, max_top):
+    """Assert that enumeration and independence agree with brute_force on random systems.
+
+    Returns how many witnesses were found although the side-length skip
+    ran ahead of them.
+    """
     skipped_before_witness = 0
-    for _ in range(100):
-        n, top = rng.randint(1, 3), rng.randint(0, 6)
+    for _ in range(systems):
+        n, top = rng.randint(1, 3), rng.randint(0, max_top)
         system = [
             Equation(
                 tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
@@ -176,11 +181,11 @@ def test_oracle_matches_brute_force_on_random_systems():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        budget = EnumerationBudget((1, 2), top)
+        budget = EnumerationBudget(alphabet, top)
         visited, solutions = 0, []
         witnesses = [None] * len(system)
         unbalanced = [False] * len(system)
-        for lt, images, holds in brute_force(system, n, top, (1, 2)):
+        for lt, images, holds in brute_force(system, n, top, alphabet):
             visited += 1
             if all(holds):
                 solutions.append(images)
@@ -200,8 +205,39 @@ def test_oracle_matches_brute_force_on_random_systems():
         assert [tuple(w.letters for w in h.images) for h in out] == solutions
         report = independence_check(system, budget)
         assert [entry["witness"] for entry in report["subsystems"]] == witnesses
+    return skipped_before_witness
+
+
+def test_oracle_matches_brute_force_on_random_systems():
+    skipped_before_witness = compare_with_brute_force(random.Random(20141), (1, 2), 100, 6)
     # the side-length skip ran ahead of witnesses that were still found
     assert skipped_before_witness >= 10
+
+
+@pytest.mark.parametrize(
+    "alphabet, seed, max_top",
+    [((1,), 4301, 8), ((1, 2, 3), 4302, 5)],
+    ids=["one-letter", "three-letters"],
+)
+def test_oracle_matches_brute_force_over_other_alphabets(alphabet, seed, max_top):
+    compare_with_brute_force(random.Random(seed), alphabet, 40, max_top)
+
+
+class TestAlphabetChecks:
+    def test_budget_rejects_bool_letters(self):
+        # bool is an int subclass, and True would merge into 1 when deduplicated
+        for alphabet in ((True, 2), (1, True), (False,)):
+            with pytest.raises(ValueError, match="alphabet letters must be positive integers"):
+                EnumerationBudget(alphabet, 2)
+
+    @pytest.mark.parametrize(
+        "alphabet", [(0, 1), ("a", "b"), (True,), (1, 2.0)], ids=["zero", "str", "bool", "non-int"]
+    )
+    def test_pools_reject_bad_letters(self, alphabet):
+        with pytest.raises(ValueError, match="letters must be positive integers"):
+            list(solutions_of_length_type([SWAP], (1, 1), alphabet))
+        with pytest.raises(ValueError, match="letters must be positive integers"):
+            rank_theorem_check([CYCLE], (1, 1, 2), [], alphabet=alphabet)
 
 
 class TestEntireSystem:
