@@ -172,7 +172,7 @@ def _load_system(path: str, out: _Report, count: int | None = None):
 def _load_morphism(path: str, names: list[str], out: _Report):
     """Parse a morphism file over the unknowns ``names`` and echo it as "morphism"."""
     h = parse_morphism(_read(path), names=names, n=len(names))
-    out.inputs["morphism"] = {names[i]: h.images[i].to_text() for i in range(h.n)}
+    out.inputs["morphism"] = {names[i]: h[i].to_text() for i in range(h.n)}
     return h
 
 
@@ -284,7 +284,7 @@ def _eq_verify(args, out):
     [eq], names = _load_system(args.eqfile, out, count=1)
     h = _load_morphism(args.morphismfile, names, out)
     res = residual(eq, h)
-    solves = eq.holds_for(h)
+    solves = eq.solved_by(h)
     out.results["residual"] = res.to_text()
     out.results["solves"] = solves
     out.results["length_type"] = list(h.length_type())
@@ -325,7 +325,8 @@ def _system_graph(args, out):
 
 @_command("system enumerate", "exhaustive solutions within a budget",
           _arg("systemfile"), *_BUDGET_ARGS, _arg("--rank", type=int), _arg("--lengths"),
-          _arg("--jsonl", action="store_true", help="print one JSON line per solution"))
+          _arg("--jsonl", action="store_true",
+               help="add one JSON line per solution to the report, as the string results.jsonl"))
 def _system_enumerate(args, out):
     eqs, _ = _load_system(args.systemfile, out)
     budget = _budget(args, out)

@@ -45,7 +45,7 @@ class Hyperplane:
     def __post_init__(self):
         if self.p.n != self.q.n:
             raise ValueError("forms live over different unknown counts")
-        normal = tuple(a - b for a, b in zip(self.p.coeffs, self.q.coeffs))
+        normal = tuple(a - b for a, b in zip(self.p, self.q))
         if not any(normal):
             raise ValueError("the two forms are equal; no hyperplane")
         object.__setattr__(self, "normal", normal)
@@ -55,13 +55,15 @@ class Hyperplane:
 
     def contains(self, point) -> bool:
         values = tuple(point)
+        if len(values) != len(self.normal):
+            raise ValueError("point has the wrong dimension")
         return sum(a * v for a, v in zip(self.normal, values)) == 0
 
     def relation_text(self) -> str:
         """Reduced rendering, positive part left: "X1+2X2 = 2X3"."""
         norm = self.normalized_normal()
-        left = LinForm(tuple(v if v > 0 else 0 for v in norm))
-        right = LinForm(tuple(-v if v < 0 else 0 for v in norm))
+        left = LinForm(v if v > 0 else 0 for v in norm)
+        right = LinForm(-v if v < 0 else 0 for v in norm)
         return f"{left.to_text()} = {right.to_text()}"
 
     def __eq__(self, other):
@@ -141,6 +143,11 @@ def _retained_minimal(families, minor: GenPoly, positive: bool) -> list[LinForm]
     return pruned
 
 
+def _occurrence_bound(eq: Equation, k: int, l: int) -> int:
+    """Squared occurrence count of the unknowns k and l in one equation."""
+    return (eq.count(k) + eq.count(l)) ** 2
+
+
 def _candidate_pairs(eq1: Equation, eq2: Equation):
     n = eq1.n
     pairs = []
@@ -149,7 +156,7 @@ def _candidate_pairs(eq1: Equation, eq2: Equation):
             t = minor_t(eq1, eq2, k, l)
             if t.is_zero:
                 continue
-            bound = (eq1.count(k) + eq1.count(l)) ** 2
+            bound = _occurrence_bound(eq1, k, l)
             unit = all(abs(c) == 1 for _, c in t.terms())
             pairs.append((bound, 0 if unit else 1, k, l, t))
     return pairs
@@ -185,7 +192,7 @@ def cover_pair(
         if not pairs:
             raise CoverError("equations indistinguishable by minors")
         _, _, k, l, t = min(pairs, key=lambda item: item[:4])
-    bound = (eq1.count(k) + eq1.count(l)) ** 2
+    bound = _occurrence_bound(eq1, k, l)
     a = occurrence_forms(eq1.lhs, k, n)
     a2 = occurrence_forms(eq1.rhs, k, n)
     c = occurrence_forms(eq1.lhs, l, n)
@@ -205,15 +212,8 @@ def cover_pair(
         neg_families = [(a, b2), (a2, b), (c, d), (c2, d2)]
         pos = _retained_minimal(pos_families, t, positive=True)
         neg = _retained_minimal(neg_families, t, positive=False)
-    planes: list[Hyperplane] = []
-    seen = set()
-    for p in pos:
-        for q in neg:
-            plane = Hyperplane(p, q)
-            key = plane.normalized_normal()
-            if key not in seen:
-                seen.add(key)
-                planes.append(plane)
+    # equal planes (same normalized normal) keep the first one built
+    planes = list(dict.fromkeys(Hyperplane(p, q) for p in pos for q in neg))
     # only the minimal selection obeys the squared occurrence bound; the
     # full pairing is a sound superset that may exceed it
     if not full_pairing and len(planes) > bound:
@@ -236,7 +236,7 @@ def cover_soundness_check(eq1: Equation, eq2: Equation, cover: HyperplaneCover, 
     """Every supplied solution's length type must lie on some plane of the cover."""
     checked = 0
     for h in solutions:
-        if not (eq1.holds_for(h) and eq2.holds_for(h)):
+        if not (eq1.solved_by(h) and eq2.solved_by(h)):
             raise ValueError("a supplied morphism does not solve the pair")
         lt = h.length_type()
         if not cover.covers(lt):
@@ -272,7 +272,7 @@ def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
         return {"applicable": False, "reason": "first equation is balanced"}
     sols = rank_annotate(enumerate_solutions([eq1], budget), n)
     top = sols.of_rank(n - 1)
-    common = [h for h in top if eq2.holds_for(h)]
+    common = [h for h in top if eq2.solved_by(h)]
     if not common:
         return {
             "applicable": False,
@@ -280,10 +280,10 @@ def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
             "budget": budget.describe(),
         }
     for h in top:
-        if not eq2.holds_for(h):
+        if not eq2.solved_by(h):
             raise TheoremCheckError(
                 "a maximal-rank solution of the unbalanced equation escapes the pair",
-                report={"images": [w.to_text() for w in h.images]},
+                report={"images": [w.to_text() for w in h]},
             )
     return {
         "applicable": True,
@@ -331,7 +331,7 @@ def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
         if rank > r:
             raise TheoremCheckError(
                 f"nonerasing solution of rank {rank} exceeds component count {r}",
-                report={"images": [w.to_text() for w in h.images]},
+                report={"images": [w.to_text() for w in h]},
             )
     return {
         "components": r,
@@ -366,9 +366,9 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
     n = eq1.n
     if eq1.is_trivial or eq2.is_trivial:
         return {"applicable": False, "reason": "a trivial equation"}
-    if not (eq1.holds_for(h) and eq2.holds_for(h)):
+    if not (eq1.solved_by(h) and eq2.solved_by(h)):
         return {"applicable": False, "reason": "the morphism does not solve the pair"}
-    if not all(h.images):
+    if not all(h):
         return {"applicable": False, "reason": "an empty image commutes with everything"}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -415,12 +415,12 @@ def chain_bound(eq1: Equation, k: int, l: int, cover: HyperplaneCover | None = N
     """
     if cover is not None:
         return len(cover.planes) + 1
-    return (eq1.count(k) + eq1.count(l)) ** 2 + 1
+    return _occurrence_bound(eq1, k, l) + 1
 
 
 def chain_bound_corollary(eq1: Equation, k: int, l: int) -> int:
     """Chain variant of the three-unknown bound; four more than the base bound."""
-    return (eq1.count(k) + eq1.count(l)) ** 2 + 5
+    return _occurrence_bound(eq1, k, l) + 5
 
 
 def chain_check(equations, budget: EnumerationBudget) -> dict:
@@ -439,10 +439,10 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
             raise ValueError("chains are made of nontrivial equations")
     base = rank_annotate(enumerate_solutions([equations[0]], budget), n)
     current = base.of_rank(n - 1)
-    sets = [{h.images for h in current}]
+    sets = [set(current)]
     strict = []
     for eq in equations[1:]:
-        kept = {imgs for imgs in sets[-1] if eq.solved_by(imgs)}
+        kept = {h for h in sets[-1] if eq.solved_by(h)}
         strict.append(kept < sets[-1])
         sets.append(kept)
     realized = 1

@@ -55,11 +55,8 @@ class Equation:
         """Occurrences of an unknown on both sides together."""
         return self.lhs.count(x) + self.rhs.count(x)
 
-    def holds_for(self, h: Morphism) -> bool:
-        return self.solved_by(h.images)
-
     def solved_by(self, images) -> bool:
-        """Whether images, one letter tuple per unknown, make both sides equal."""
+        """Whether images, one letter tuple per unknown (a Morphism, say), make both sides equal."""
         left: tuple[int, ...] = ()
         for x in self.lhs:
             left += images[x - 1]

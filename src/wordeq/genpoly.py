@@ -10,56 +10,57 @@ X^(X_i) -> Y_i.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import InputFormatError
 from .equations import Equation
 from .polynomials import IntPolynomial, SparsePoly
 
 
-@dataclass(frozen=True)
-class LinForm:
-    """Linear homogeneous form with nonnegative integer coefficients."""
+class LinForm(tuple):
+    """Linear homogeneous form with nonnegative integer coefficients: its coefficient tuple.
 
-    coeffs: tuple[int, ...]
+    Forms compare as tuples, lexicographically; ``+`` adds componentwise.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        for a in coeffs:
-            if not isinstance(a, int) or a < 0:
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        self = super().__new__(cls, coeffs)
+        for a in self:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
                 raise ValueError(f"form coefficients must be nonnegative integers, got {a!r}")
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return len(self)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self)
 
     def __add__(self, other: "LinForm") -> "LinForm":
-        if len(self.coeffs) != len(other.coeffs):
+        if len(self) != len(other):
             raise ValueError("forms live over different unknown counts")
-        return LinForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return LinForm([a + b for a, b in zip(self, other)])
 
     def evaluate(self, point) -> int:
         values = tuple(point)
-        if len(values) != len(self.coeffs):
+        if len(values) != len(self):
             raise ValueError("evaluation point has the wrong dimension")
-        return sum(a * v for a, v in zip(self.coeffs, values))
+        return sum(a * v for a, v in zip(self, values))
 
     def le(self, other: "LinForm") -> bool:
         """Componentwise order; implies pointwise order on nonnegative points."""
-        if len(self.coeffs) != len(other.coeffs):
+        if len(self) != len(other):
             raise ValueError("forms live over different unknown counts")
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        return all(a <= b for a, b in zip(self, other))
 
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for i, a in enumerate(self.coeffs, start=1):
+        for i, a in enumerate(self, start=1):
             if a == 0:
                 continue
             parts.append(f"X{i}" if a == 1 else f"{a}X{i}")
@@ -74,15 +75,13 @@ def zero_form(n: int) -> LinForm:
 
 
 def unit_form(n: int, i: int) -> LinForm:
-    return LinForm(tuple(1 if j == i else 0 for j in range(1, n + 1)))
+    return LinForm(1 if j == i else 0 for j in range(1, n + 1))
 
 
 class GenPoly(SparsePoly):
     """Integer combination of formal powers X^p with linear-form exponents p."""
 
     __slots__ = ()
-
-    _term_key = staticmethod(lambda term: term[0].coeffs)  # lexicographic on coefficient vectors
 
     def __init__(self, n: int, terms=None):
         if n < 1:
@@ -126,7 +125,7 @@ def occurrence_forms(side, x: int, n: int) -> list[LinForm]:
     forms = []
     for y in side:
         if y == x:
-            forms.append(LinForm(tuple(counts)))
+            forms.append(LinForm(counts))
         counts[y - 1] += 1
     return forms
 
@@ -161,19 +160,15 @@ def minor_t(eq1: Equation, eq2: Equation, k: int, l: int) -> GenPoly:
 
 
 class MultiPoly(SparsePoly):
-    """Plain multivariate integer polynomial keyed by exponent tuples."""
+    """Plain multivariate integer polynomial keyed by exponent tuples, held as LinForms."""
 
     __slots__ = ()
 
-    def _exponent(self, exps) -> tuple[int, ...]:
+    def _exponent(self, exps) -> LinForm:
         exps = tuple(exps)
         if len(exps) != self._n or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps!r}")
-        return exps
-
-    @staticmethod
-    def _add_exponents(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return LinForm(exps)
 
     # no text format of its own: str and repr both show the term map
     def __repr__(self):
@@ -184,7 +179,7 @@ class MultiPoly(SparsePoly):
 
 def iso_multivariate(g: GenPoly) -> MultiPoly:
     """Ring embedding sending X^(X_i) to Y_i; exponent forms become exponent tuples."""
-    return MultiPoly(g.n, {form.coeffs: c for form, c in g.terms()})
+    return MultiPoly._new(g.n, dict(g.terms()))
 
 
 # --- text format ----------------------------------------------------------
@@ -207,7 +202,7 @@ def parse_linform(text: str, n: int) -> LinForm:
         if not 1 <= i <= n:
             raise InputFormatError(f"form variable X{i} out of range 1..{n}")
         coeffs[i - 1] += a
-    return LinForm(tuple(coeffs))
+    return LinForm(coeffs)
 
 
 def _split_signed_terms(text: str):

@@ -41,7 +41,10 @@ class EnumerationBudget:
         object.__setattr__(self, "alphabet", letters)
         if not letters:
             raise ValueError("the alphabet must not be empty")
-        if self.max_total_length < 0:
+        top = self.max_total_length
+        if not isinstance(top, int) or isinstance(top, bool):
+            raise ValueError(f"max_total_length must be an integer, got {top!r}")
+        if top < 0:
             raise ValueError("max_total_length must be nonnegative")
 
     def describe(self) -> dict:
@@ -111,8 +114,8 @@ class SolutionSet:
         ranks = self.ranks if self.ranks is not None else (None,) * len(self.solutions)
         return [
             {
-                "images": [texts[w] for w in h.images],
-                "length_type": [len(w) for w in h.images],
+                "images": [texts[w] for w in h],
+                "length_type": [len(w) for w in h],
                 "rank": rank,
             }
             for h, rank in zip(self.solutions, ranks)
@@ -254,7 +257,7 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
             entry["provably_redundant"] = False
             witness = _first_separating_morphism(rest, omitted, budget, n)
             entry["witness"] = (
-                [w.to_text() for w in witness.images] if witness is not None else None
+                [w.to_text() for w in witness] if witness is not None else None
             )
             if witness is None:
                 all_witnessed = False
@@ -289,7 +292,7 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
         if h.length_type() != lt:
             raise ValueError("a supplied solution has the wrong length type")
         for eq in system:
-            if not eq.holds_for(h):
+            if not eq.solved_by(h):
                 raise ValueError("a supplied morphism does not solve the system")
         r = combinatorial_rank(h, n)
         ranks.append(r)
@@ -341,7 +344,7 @@ def entire_system_sample(h: Morphism, max_eq_length: int) -> list[Equation]:
             base = image_of[shorter]
             for x in range(1, n + 1):
                 side = shorter + (x,)
-                image_of[side] = base + h.images[x - 1]
+                image_of[side] = base + h[x - 1]
                 layer.append(side)
         sides_by_len.append(layer)
     out = []

@@ -13,7 +13,6 @@ the primitive root of the word.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,9 +27,9 @@ class SparsePoly:
 
     The library's polynomials differ only in their exponents: a degree
     (IntPolynomial), a linear form in the unknown lengths (GenPoly) or an
-    exponent tuple (MultiPoly).  A subclass says how an exponent is
-    checked, how two exponents add when that is not ``+``, how terms are
-    ordered and how a power is written; sums, products, equality and
+    exponent tuple (MultiPoly).  Exponents add with ``+`` and terms are
+    ordered by exponent, so a subclass only says how an exponent is
+    checked and how a power is written; sums, products, equality and
     rendering live here.  ``n`` counts the unknowns, and operands over
     different counts are rejected.  Instances are immutable: ``n`` is a
     read-only property, the term map is private and there is no
@@ -38,9 +37,6 @@ class SparsePoly:
     """
 
     __slots__ = ("_n", "_terms")
-
-    _term_key = None  # sort key of (exponent, coefficient) terms; None orders by exponent
-    _add_exponents = staticmethod(operator.add)
 
     def __init__(self, n: int, terms=None):
         self._n = n
@@ -90,8 +86,8 @@ class SparsePoly:
         return self._terms.get(exponent, 0)
 
     def terms(self):
-        """(exponent, coefficient) pairs in the subclass's canonical order."""
-        return sorted(self._terms.items(), key=self._term_key)
+        """(exponent, coefficient) pairs in exponent order."""
+        return sorted(self._terms.items())
 
     # arithmetic
     def __add__(self, other):
@@ -116,9 +112,8 @@ class SparsePoly:
             scaled = {e: c * other for e, c in self._terms.items()} if other else {}
             return self._new(self._n, scaled)
         self._check(other)
-        add = self._add_exponents
         products = [
-            (add(e1, e2), c1 * c2)
+            (e1 + e2, c1 * c2)
             for e1, c1 in self._terms.items()
             for e2, c2 in other._terms.items()
         ]

@@ -39,7 +39,7 @@ def endo_compose(outer: Endomorphism, inner: Endomorphism) -> Endomorphism:
 
 def morphism_after_endo(g: Morphism, endo: Endomorphism) -> Morphism:
     """The morphism x -> g(endo(x))."""
-    return Morphism(tuple(g.apply(img) for img in endo))
+    return Morphism(g.apply(img) for img in endo)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class SolutionFactorization:
         parts = [f"erase {names[i - 1]}" for i in self.erased]
         parts.extend(step.to_text(names) for step in self.steps)
         theta = ", ".join(
-            f"{names[i]} = {self.theta.images[i].to_text()}" for i in range(self.n)
+            f"{names[i]} = {self.theta[i].to_text()}" for i in range(self.n)
         )
         parts.append(f"theta: {theta}")
         return "; ".join(parts)
@@ -140,12 +140,12 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
     """
     if h.n != eq.n:
         raise ValueError("morphism and equation disagree on the unknown count")
-    if not eq.holds_for(h):
+    if not eq.solved_by(h):
         raise ValueError("the morphism does not solve the equation")
     n = eq.n
-    erased = tuple(i for i in range(1, n + 1) if not h.images[i - 1])
+    erased = tuple(i for i in range(1, n + 1) if not h[i - 1])
     gone = set(erased)
-    images = {i: h.images[i - 1] for i in range(1, n + 1) if i not in gone}
+    images = {i: h[i - 1] for i in range(1, n + 1) if i not in gone}
     u = tuple(x for x in eq.lhs if x not in gone)
     v = tuple(x for x in eq.rhs if x not in gone)
     steps: list[ElementaryTransformation] = []
@@ -188,7 +188,7 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
                 return tuple(out)
 
             u, v = expand(u), expand(v)
-    theta = Morphism(tuple(Word(images.get(i, (1,))) for i in range(1, n + 1)))
+    theta = Morphism(Word(images.get(i, (1,))) for i in range(1, n + 1))
     fact = SolutionFactorization(n=n, erased=erased, steps=tuple(steps), theta=theta)
     if fact.recompose() != h:
         raise TheoremCheckError("factorization fails to recompose the solution")
@@ -262,8 +262,8 @@ def verify_composition_identities(endo: Endomorphism, g: Morphism) -> dict:
     if lt_actual != lt_expected:
         raise TheoremCheckError("length-type identity failed", report={"endo": endo})
     b = position_matrix(endo, g.length_type())
-    encoded = b.apply(tuple(encode_poly(w) for w in g.images))
-    direct = tuple(encode_poly(w) for w in composite.images)
+    encoded = b.apply(tuple(encode_poly(w) for w in g))
+    direct = tuple(encode_poly(w) for w in composite)
     if encoded != direct:
         raise TheoremCheckError("encoding identity failed", report={"endo": endo})
     return {
@@ -302,7 +302,7 @@ def parse_factorization(text: str, n: int, names: list[str] | None = None) -> So
                 entries[index[name]] = parse_word(right.strip())
             if sorted(entries) != list(range(1, n + 1)):
                 raise InputFormatError("theta must define every unknown")
-            theta = Morphism(tuple(entries[i] for i in range(1, n + 1)))
+            theta = Morphism(entries[i] for i in range(1, n + 1))
         else:
             m = _STEP_RE.match(part)
             if not m:

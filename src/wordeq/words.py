@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputFormatError
@@ -77,7 +76,7 @@ class LengthType(tuple):
     def __new__(cls, lengths):
         self = super().__new__(cls, lengths)
         for v in self:
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"length type entries must be nonnegative, got {v!r}")
         return self
 
@@ -90,51 +89,54 @@ class LengthType(tuple):
         return sum(self[x - 1] for x in unknowns)
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """Assignment of a word to each of the unknowns x_1..x_n."""
+class Morphism(tuple):
+    """Assignment of a word to each of the unknowns x_1..x_n: its image tuple."""
 
-    images: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if not self.images:
+    def __new__(cls, images):
+        self = super().__new__(cls, images)
+        if not self:
             raise ValueError("a morphism needs at least one unknown")
-        for w in self.images:
+        for w in self:
             if not isinstance(w, Word):
                 raise TypeError(f"morphism images must be Word instances, got {w!r}")
+        return self
 
     @classmethod
     def _trusted(cls, images: tuple[Word, ...]) -> "Morphism":
-        """Wrap a nonempty tuple of Words, skipping the checks of ``__post_init__``."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "images", images)
-        return h
+        """Wrap a nonempty tuple of Words, skipping the checks of ``__new__``."""
+        return tuple.__new__(cls, images)
+
+    @property
+    def images(self) -> "Morphism":
+        """The morphism itself, for callers written against the image field."""
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def image(self, x: int) -> Word:
-        return self.images[x - 1]
+        return self[x - 1]
 
     def apply(self, unknowns) -> Word:
         """Concatenation of the images along a word over unknowns."""
         letters = []
         for x in unknowns:
-            letters.extend(self.images[x - 1])
+            letters.extend(self[x - 1])
         return Word(letters)
 
     def length_type(self) -> LengthType:
-        return LengthType(len(w) for w in self.images)
+        return LengthType(len(w) for w in self)
 
     @property
     def is_nonerasing(self) -> bool:
-        return all(self.images)
+        return all(self)
 
     @property
     def all_empty(self) -> bool:
-        return not any(self.images)
+        return not any(self)
 
 
 def _divisors(num: int):
@@ -171,7 +173,7 @@ def commute_check(u: Word, v: Word) -> bool:
 
 def is_periodic(h: Morphism) -> bool:
     """True when all nonempty images are powers of one common primitive word."""
-    roots = {primitive_root(w) for w in h.images if w}
+    roots = {primitive_root(w) for w in h if w}
     return len(roots) <= 1
 
 
@@ -237,7 +239,7 @@ def combinatorial_rank(h: Morphism, cap: int | None = None) -> int | None:
         cap = h.n
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    rank = _minimal_factor_cover(tuple(sorted({w for w in h.images if w})))
+    rank = _minimal_factor_cover(tuple(sorted({w for w in h if w})))
     return rank if rank <= cap else None
 
 
@@ -306,12 +308,12 @@ def parse_morphism(text: str, names: list[str] | None = None, n: int | None = No
     extra = [i for i in entries if i > size]
     if extra:
         raise InputFormatError(f"morphism defines out-of-range unknowns {extra}")
-    return Morphism(tuple(entries[i] for i in range(1, size + 1)))
+    return Morphism(entries[i] for i in range(1, size + 1))
 
 
 def morphism_to_text(h: Morphism, names: list[str] | None = None) -> str:
     names = names or default_names(h.n)
-    return "\n".join(f"{names[i]} = {h.images[i].to_text()}" for i in range(h.n))
+    return "\n".join(f"{names[i]} = {h[i].to_text()}" for i in range(h.n))
 
 
 def words_of_length(alphabet, length: int):

@@ -155,7 +155,7 @@ def test_c04_cover_semantics_within_budget():
             for w1 in words_of_length((1, 2), a):
                 for w2 in words_of_length((1, 2), total - a):
                     h = morphism(w1, w2, w1 + w2)
-                    assert e1.holds_for(h) and e2.holds_for(h)
+                    assert e1.solved_by(h) and e2.solved_by(h)
                     checked += 1
     assert checked == 321
     elapsed = time.perf_counter() - start
@@ -254,7 +254,7 @@ def test_c06_matrix_rank_bounds_solution_rank():
             sols = []
             for images in itertools.product(*pools):
                 h = morphism(*images)
-                if all(eq.holds_for(h) for eq in system):
+                if all(eq.solved_by(h) for eq in system):
                     sols.append(h)
             if not sols:
                 continue

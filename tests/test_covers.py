@@ -6,6 +6,9 @@ from wordeq import (
     CoverError,
     EnumerationBudget,
     Equation,
+    Hyperplane,
+    HyperplaneCover,
+    LinForm,
     balance_profile,
     balance_theorem_check,
     chain_bound,
@@ -92,7 +95,7 @@ class TestCoverPair:
         e1, e2 = sample_pair
         cover = cover_pair(e1, e2)
         for plane in cover.planes:
-            diff = tuple(a - b for a, b in zip(plane.p.coeffs, plane.q.coeffs))
+            diff = tuple(a - b for a, b in zip(plane.p, plane.q))
             assert any(diff)
             assert plane.normal == diff
 
@@ -118,8 +121,20 @@ class TestCoverSoundness:
         e1, e2 = sample_pair
         cover = cover_pair(e1, e2)
         h = morphism((1,), (2, 1), ())
-        assert e1.holds_for(h) and e2.holds_for(h)
+        assert e1.solved_by(h) and e2.solved_by(h)
         assert cover.covers(tuple(h.length_type()))
+
+    def test_points_of_the_wrong_dimension_rejected(self):
+        plane = Hyperplane(LinForm((1, 0, 0)), LinForm((0, 1, 0)))
+        cover = HyperplaneCover(
+            (plane,), bound=1, k=1, l=2, minor_terms_before=0, minor_terms_after=0
+        )
+        assert plane.contains((2, 2, 5)) and not plane.contains((1, 2, 5))
+        for point in ((0, 0), (5, 5, 1, 7)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                plane.contains(point)
+            with pytest.raises(ValueError, match="wrong dimension"):
+                cover.covers(point)
 
     def test_random_pairs_cover_their_top_rank_solutions(self):
         # the minimal selection and the full pairing must both cover every

@@ -44,6 +44,11 @@ class TestEquation:
         with pytest.raises(ValueError):
             Equation((1, 4), (2,), 3)
 
+    def test_solved_by_takes_a_morphism(self):
+        h, g = morphism((1,), (2,), (1, 2)), morphism((1,), (2,), (2, 1))
+        assert CYCLE.solved_by(h) and not CYCLE.solved_by(g)
+        assert CYCLE.solved_by(tuple(h)) and not CYCLE.solved_by(tuple(g))
+
 
 class TestQPolynomial:
     def test_cycle_equation_values(self):
@@ -296,7 +301,7 @@ class TestRankTheoremCheck:
         for a in itertools.product((1, 2), repeat=2):
             for b in itertools.product((1, 2), repeat=2):
                 h = morphism(a, b)
-                if eq.holds_for(h):
+                if eq.solved_by(h):
                     sols.append(h)
         report = rank_theorem_check([eq], lt, sols)
         assert report["rank_bound_ok"]

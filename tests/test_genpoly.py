@@ -51,6 +51,24 @@ class TestLinForm:
         with pytest.raises(ValueError, match="different unknown counts"):
             LinForm((1,)).le(LinForm((1, 2)))
 
+    def test_form_is_its_coefficient_tuple(self):
+        p = LinForm((1, 0, 2))
+        assert isinstance(p, tuple) and p == (1, 0, 2) and hash(p) == hash((1, 0, 2))
+        total = p + LinForm((0, 3, 1))
+        assert type(total) is LinForm and total == (1, 3, 3)
+        # tuple order is the lexicographic order on coefficient vectors
+        forms = [LinForm((0, 2)), LinForm((1, 0)), LinForm((0, 0))]
+        assert sorted(forms) == [(0, 0), (0, 2), (1, 0)]
+
+    def test_sum_rejects_other_unknown_counts(self):
+        with pytest.raises(ValueError, match="different unknown counts"):
+            LinForm((1,)) + LinForm((1, 2))
+
+    def test_bool_coefficients_rejected(self):
+        for coeffs in ((True, 0), (0, False)):
+            with pytest.raises(ValueError, match="form coefficients must be nonnegative integers"):
+                LinForm(coeffs)
+
 
 class TestSPolynomial:
     def test_cycle_first_unknown(self):
@@ -160,6 +178,12 @@ class TestIso:
     def test_zero(self):
         assert iso_multivariate(GenPoly.zero(3)).is_zero
 
+    def test_several_terms_match_plain_tuple_keys(self):
+        g = gp("X^{X3} + 2X^{X1+X2} - X^{2X1} + 3 - X^{X2+X3}")
+        plain = {(0, 0, 0): 3, (0, 0, 1): 1, (0, 1, 1): -1, (1, 1, 0): 2, (2, 0, 0): -1}
+        assert iso_multivariate(g) == MultiPoly(3, plain)
+        assert repr(iso_multivariate(g)) == f"MultiPoly({plain!r})"
+
     def test_products_map_to_products(self):
         rng = random.Random(59)
         for _ in range(100):
@@ -208,6 +232,10 @@ class TestRendering:
     def test_canonical_order(self):
         g = gp("X^{2X1+X2} - X^{X1+X3}")
         assert g.to_text() == "-X^{X1+X3} + X^{2X1+X2}"
+
+    def test_several_terms_in_lexicographic_exponent_order(self):
+        g = gp("X^{X3} + 2X^{X1+X2} - X^{2X1} + 3 - X^{X2+X3}")
+        assert g.to_text() == "3 + X^{X3} - X^{X2+X3} + 2X^{X1+X2} - X^{2X1}"
 
     def test_round_trip(self):
         rng = random.Random(67)

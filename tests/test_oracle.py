@@ -230,6 +230,12 @@ class TestAlphabetChecks:
             with pytest.raises(ValueError, match="alphabet letters must be positive integers"):
                 EnumerationBudget(alphabet, 2)
 
+    def test_budget_rejects_non_integer_max_total(self):
+        # a float would reach range() inside the enumeration; True would run as 1
+        for top in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_total_length must be an integer"):
+                EnumerationBudget((1, 2), top)
+
     @pytest.mark.parametrize(
         "alphabet", [(0, 1), ("a", "b"), (True,), (1, 2.0)], ids=["zero", "str", "bool", "non-int"]
     )

@@ -5,6 +5,7 @@ import pytest
 
 from wordeq import (
     LengthType,
+    Morphism,
     Word,
     combinatorial_rank,
     commute_check,
@@ -67,6 +68,25 @@ class TestWord:
             Word((1, True))
         with pytest.raises(ValueError, match="negative powers"):
             w * -1
+
+
+class TestMorphism:
+    def test_morphism_is_its_image_tuple(self):
+        h = morphism((1,), (), (2, 1))
+        assert isinstance(h, tuple) and h == (Word((1,)), Word(), Word((2, 1)))
+        assert h.images is h and h.n == 3 and h.image(3) == (2, 1)
+        assert hash(h) == hash(tuple(h)) and type(pickle.loads(pickle.dumps(h))) is Morphism
+
+    def test_set_keeps_solutions_distinct(self):
+        same = [morphism((1,), (), (2, 1)), morphism((1,), (), (2, 1))]
+        other = [morphism((1,), (1,), (2, 1)), morphism((1,), (2, 1), ())]
+        assert len(set(same + other)) == 3
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="a morphism needs at least one unknown"):
+            Morphism(())
+        with pytest.raises(TypeError, match="morphism images must be Word instances"):
+            Morphism(((1,),))
 
 
 class TestPrimitiveRoot:
@@ -195,6 +215,11 @@ class TestLengthType:
         assert lt[2] == 2 and len(lt) == 3
         with pytest.raises(ValueError, match="must be nonnegative"):
             LengthType((1, "2"))
+
+    def test_bool_entries_rejected(self):
+        for lengths in ((True, 2), (1, False)):
+            with pytest.raises(ValueError, match="length type entries must be nonnegative"):
+                LengthType(lengths)
 
 
 class TestMorphismText:
