@@ -19,6 +19,7 @@ from .equations import (
     Equation,
     PolyMatrix,
     coefficient_matrix,
+    coefficient_row,
     parse_equation,
     parse_system,
     q_polynomial,

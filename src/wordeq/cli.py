@@ -24,8 +24,8 @@ from .covers import (
 )
 from .equations import (
     coefficient_matrix,
+    coefficient_row,
     parse_system,
-    q_polynomial,
     rank_polymatrix,
     residual,
 )
@@ -264,7 +264,7 @@ def _eq_coeffs(args, out):
     lt = _parse_lengths(args.lengths, eq.n)
     out.inputs["lengths"] = list(lt)
     out.results["coefficients"] = {
-        names[x - 1]: q_polynomial(eq, x, lt).to_text() for x in range(1, eq.n + 1)
+        name: q.to_text() for name, q in zip(names, coefficient_row(eq, lt))
     }
 
 

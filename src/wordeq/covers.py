@@ -17,7 +17,7 @@ from .equations import Equation
 from .errors import TheoremCheckError
 from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms
 from .oracle import EnumerationBudget, enumerate_solutions, rank_annotate
-from .words import Morphism, combinatorial_rank, commute_check
+from .words import Morphism, Word, combinatorial_rank, commute_check
 
 
 def _normalized_normal(normal: tuple[int, ...]) -> tuple[int, ...]:
@@ -201,9 +201,7 @@ def cover_pair(
     b2 = occurrence_forms(eq2.rhs, l, n)
     d = occurrence_forms(eq2.lhs, k, n)
     d2 = occurrence_forms(eq2.rhs, k, n)
-    terms_before = (len(a) + len(a2)) * (len(b) + len(b2)) + (len(c) + len(c2)) * (
-        len(d) + len(d2)
-    )
+    terms_before = eq1.count(k) * eq2.count(l) + eq1.count(l) * eq2.count(k)
     if full_pairing:
         pos = [f for f, cc in t.terms() if cc > 0]
         neg = [f for f, cc in t.terms() if cc < 0]
@@ -379,15 +377,11 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
     if n > 5:
         return {"applicable": False, "reason": "renaming search capped at 5 unknowns"}
     for perm in itertools.permutations(range(1, n + 1)):
-        rename = {old: new for old, new in zip(range(1, n + 1), perm)}
-
-        def renamed(side):
-            return tuple(rename[z] for z in side)
-
-        options1 = [(renamed(eq1.lhs), renamed(eq1.rhs))]
-        options1.append((options1[0][1], options1[0][0]))
-        options2 = [(renamed(eq2.lhs), renamed(eq2.rhs))]
-        options2.append((options2[0][1], options2[0][0]))
+        rename = Morphism(Word((new,)) for new in perm)
+        l1, r1 = rename.apply(eq1.lhs), rename.apply(eq1.rhs)
+        l2, r2 = rename.apply(eq2.lhs), rename.apply(eq2.rhs)
+        options1 = [(l1, r1), (r1, l1)]
+        options2 = [(l2, r2), (r2, l2)]
         for s1 in options1:
             k1 = _form_exponent(*s1)
             if k1 is None or k1 < 1:

@@ -21,6 +21,7 @@ from .polynomials import IntPolynomial, encode_poly
 from .words import (
     LengthType,
     Morphism,
+    Word,
     default_names,
     resolve_unknown,
 )
@@ -30,17 +31,17 @@ from .words import (
 class Equation:
     """A pair of words over the unknowns x_1..x_n, compared as lhs = rhs."""
 
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
+    lhs: Word
+    rhs: Word
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
+        object.__setattr__(self, "lhs", Word(self.lhs))
+        object.__setattr__(self, "rhs", Word(self.rhs))
         if self.n < 1:
             raise ValueError("an equation needs at least one unknown")
-        for x in self.lhs + self.rhs:
-            if not isinstance(x, int) or x < 1 or x > self.n:
+        for x in (*self.lhs, *self.rhs):
+            if x > self.n:
                 raise ValueError(f"unknown index {x!r} out of range 1..{self.n}")
 
     @property
@@ -78,32 +79,46 @@ class Equation:
         return self.to_text()
 
 
-def q_polynomial(eq: Equation, x: int, lt: LengthType) -> IntPolynomial:
-    """Positional coefficient of an unknown at a fixed length type.
+def position_row(signed_sides, lt: LengthType) -> tuple[IntPolynomial, ...]:
+    """One polynomial per unknown from a walk along signed words over the unknowns.
 
-    Sum of X^(image length of the strict prefix) over the occurrences of
-    x on the left side, minus the same sum over the right side.
+    Each occurrence of x_j contributes sign * X^(image length of the
+    strict prefix of its word) to entry j.
+    """
+    cells: list[list[tuple[int, int]]] = [[] for _ in lt]
+    for side, sign in signed_sides:
+        pos = 0
+        for y in side:
+            cells[y - 1].append((pos, sign))
+            pos += lt[y - 1]
+    return tuple(IntPolynomial(cell) for cell in cells)
+
+
+def coefficient_row(eq: Equation, lt: LengthType) -> tuple[IntPolynomial, ...]:
+    """Positional coefficient of every unknown at a fixed length type.
+
+    The coefficient of x is the sum of X^(image length of the strict
+    prefix) over its occurrences on the left side, minus the same sum
+    over the right side.
     """
     if len(lt) != eq.n:
         raise ValueError("length type size does not match the unknown count")
-    terms = []
-    for side, sign in ((eq.lhs, 1), (eq.rhs, -1)):
-        pos = 0
-        for y in side:
-            if y == x:
-                terms.append((pos, sign))
-            pos += lt[y - 1]
-    return IntPolynomial(terms)
+    return position_row(((eq.lhs, 1), (eq.rhs, -1)), lt)
+
+
+def q_polynomial(eq: Equation, x: int, lt: LengthType) -> IntPolynomial:
+    """Positional coefficient of one unknown at a fixed length type."""
+    if not 1 <= x <= eq.n:
+        raise ValueError(f"unknown index {x!r} out of range 1..{eq.n}")
+    return coefficient_row(eq, lt)[x - 1]
 
 
 def residual(eq: Equation, h: Morphism) -> IntPolynomial:
     """Coefficient-weighted sum of the encoded images; zero iff h solves eq."""
-    lt = h.length_type()
     total = IntPolynomial()
-    for x in range(1, eq.n + 1):
-        q = q_polynomial(eq, x, lt)
+    for q, w in zip(coefficient_row(eq, h.length_type()), h):
         if not q.is_zero:
-            total = total + q * encode_poly(h.image(x))
+            total = total + q * encode_poly(w)
     return total
 
 
@@ -168,11 +183,7 @@ def coefficient_matrix(system, lt: LengthType) -> PolyMatrix:
     n = system[0].n
     if any(eq.n != n for eq in system):
         raise ValueError("equations disagree on the number of unknowns")
-    if len(lt) != n:
-        raise ValueError("length type size does not match the unknown count")
-    return PolyMatrix(
-        tuple(tuple(q_polynomial(eq, x, lt) for x in range(1, n + 1)) for eq in system)
-    )
+    return PolyMatrix(tuple(coefficient_row(eq, lt) for eq in system))
 
 
 def _integer_rank(rows) -> int:

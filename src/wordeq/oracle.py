@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import comb
 
 from .equations import Equation, coefficient_matrix, rank_polymatrix
 from .errors import TheoremCheckError
@@ -22,6 +23,9 @@ from .words import (
     combinatorial_rank,
     words_of_length,
 )
+
+# candidates one enumeration may test: a larger budget is refused before any scan
+MAX_CANDIDATES = 10**7
 
 
 @dataclass(frozen=True)
@@ -99,12 +103,9 @@ class SolutionSet:
         return self._filtered(keep)
 
     def _filtered(self, indices) -> "SolutionSet":
-        return SolutionSet(
-            system=self.system,
-            n=self.n,
-            budget=self.budget,
+        return replace(
+            self,
             solutions=tuple(self.solutions[i] for i in indices),
-            candidates_visited=self.candidates_visited,
             ranks=tuple(self.ranks[i] for i in indices) if self.ranks is not None else None,
         )
 
@@ -177,7 +178,9 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
 
     An empty system needs an explicit unknown count and is solved by
     every morphism.  Every length type counts its full candidate set as
-    visited, including the ones ruled out by side lengths without a scan.
+    visited, including the ones ruled out by side lengths without a scan:
+    the C(t+n-1, n-1) length types of total t hold |A|^t candidates each.
+    A budget of more than MAX_CANDIDATES candidates is refused up front.
     """
     system = tuple(system)
     if system:
@@ -186,12 +189,13 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
             raise ValueError("equations disagree on the number of unknowns")
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
-    found = {}
-    visited = 0
-    pools = _WordPools(budget.alphabet)
     size = len(budget.alphabet)
+    visited = sum(comb(t + n - 1, n - 1) * size**t for t in range(budget.max_total_length + 1))
+    if visited > MAX_CANDIDATES:
+        raise ValueError(f"the budget asks for {visited} candidates, more than {MAX_CANDIDATES}")
+    found = {}
+    pools = _WordPools(budget.alphabet)
     for lt in length_types_up_to(n, budget.max_total_length):
-        visited += size ** sum(lt)
         found[lt] = list(solutions_of_length_type(system, lt, budget.alphabet, pools))
     # the budget's alphabet is sorted, so each block is in image order and
     # ordering the blocks by length type sorts all solutions
@@ -205,21 +209,21 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
 def rank_annotate(solset: SolutionSet, cap: int | None = None) -> SolutionSet:
     """Attach exact combinatorial ranks (up to cap, default n) to a solution set."""
     cap = cap or solset.n
-    ranks = tuple(combinatorial_rank(h, cap) for h in solset.solutions)
-    return SolutionSet(
-        system=solset.system,
-        n=solset.n,
-        budget=solset.budget,
-        solutions=solset.solutions,
-        candidates_visited=solset.candidates_visited,
-        ranks=ranks,
-    )
+    return replace(solset, ranks=tuple(combinatorial_rank(h, cap) for h in solset.solutions))
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
-    """First morphism within budget solving the subsystem but not the omitted equation."""
+    """First morphism within budget solving the subsystem but not the omitted equation.
+
+    Raises once the length types reached hold more than MAX_CANDIDATES
+    candidates; a witness found earlier ends the probe first.
+    """
     pools = _WordPools(budget.alphabet)
+    visited = 0
     for lt in length_types_up_to(n, budget.max_total_length):
+        visited += len(budget.alphabet) ** sum(lt)
+        if visited > MAX_CANDIDATES:
+            raise ValueError(f"the probe passed {MAX_CANDIDATES} candidates without a witness")
         for images in solutions_of_length_type(subsystem, lt, budget.alphabet, pools):
             if not omitted.solved_by(images):
                 return Morphism._trusted(images)

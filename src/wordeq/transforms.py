@@ -14,32 +14,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputFormatError, TheoremCheckError
-from .equations import Equation, PolyMatrix, rank_polymatrix, rational_matrix_rank
-from .polynomials import IntPolynomial, encode_poly
+from .equations import Equation, PolyMatrix, position_row, rank_polymatrix, rational_matrix_rank
+from .polynomials import encode_poly
 from .words import LengthType, Morphism, Word, default_names, parse_word
-
-Endomorphism = tuple[tuple[int, ...], ...]
-
-
-def endo_identity(n: int) -> Endomorphism:
-    return tuple((i,) for i in range(1, n + 1))
-
-
-def endo_apply(endo: Endomorphism, unknowns) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in unknowns:
-        out.extend(endo[x - 1])
-    return tuple(out)
-
-
-def endo_compose(outer: Endomorphism, inner: Endomorphism) -> Endomorphism:
-    """Composition acting as outer(inner(x))."""
-    return tuple(endo_apply(outer, img) for img in inner)
-
-
-def morphism_after_endo(g: Morphism, endo: Endomorphism) -> Morphism:
-    """The morphism x -> g(endo(x))."""
-    return Morphism(g.apply(img) for img in endo)
 
 
 @dataclass(frozen=True)
@@ -60,15 +37,16 @@ class ElementaryTransformation:
     def kind(self) -> str:
         return "regular" if self.regular else "singular"
 
-    def as_endo(self, n: int) -> Endomorphism:
+    def as_endo(self, n: int) -> Morphism:
+        """This step as an endomorphism of the unknowns x_1..x_n."""
         if self.target > n or self.source > n:
             raise ValueError("unknown index out of range")
-        images = list(endo_identity(n))
+        images = list(Morphism.identity(n))
         if self.regular:
-            images[self.target - 1] = (self.source, self.target)
+            images[self.target - 1] = Word((self.source, self.target))
         else:
-            images[self.target - 1] = (self.source,)
-        return tuple(images)
+            images[self.target - 1] = Word((self.source,))
+        return Morphism(images)
 
     def to_text(self, names: list[str] | None = None) -> str:
         names = names or default_names(max(self.target, self.source))
@@ -104,19 +82,19 @@ class SolutionFactorization:
     def rank_bound(self) -> int:
         return self.n - self.s - self.t
 
-    def alpha_endo(self) -> Endomorphism:
+    def alpha_endo(self) -> Morphism:
         erased = set(self.erased)
-        return tuple((() if i in erased else (i,)) for i in range(1, self.n + 1))
+        return Morphism(Word._trusted(() if i in erased else (i,)) for i in range(1, self.n + 1))
 
-    def intermediate(self) -> Endomorphism:
+    def intermediate(self) -> Morphism:
         """The composite of the steps after the erasure, as an endomorphism."""
         f = self.alpha_endo()
         for step in self.steps:
-            f = endo_compose(step.as_endo(self.n), f)
+            f = step.as_endo(self.n).compose(f)
         return f
 
     def recompose(self) -> Morphism:
-        return morphism_after_endo(self.theta, self.intermediate())
+        return self.theta.compose(self.intermediate())
 
     def to_text(self, names: list[str] | None = None) -> str:
         names = names or default_names(self.n)
@@ -164,9 +142,7 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
         gx, gy = images[x], images[y]
         if gx == gy:
             hi, lo = (x, y) if x > y else (y, x)
-            steps.append(ElementaryTransformation(target=hi, source=lo, regular=False))
-            u = tuple(lo if z == hi else z for z in u)
-            v = tuple(lo if z == hi else z for z in v)
+            step = ElementaryTransformation(target=hi, source=lo, regular=False)
             del images[hi]
         else:
             if len(gx) > len(gy):
@@ -176,24 +152,16 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
             lw, sw = images[longer], images[shorter]
             if lw[: len(sw)] != sw:
                 raise TheoremCheckError("leading images fail to align in a valid solution")
-            steps.append(ElementaryTransformation(target=longer, source=shorter, regular=True))
+            step = ElementaryTransformation(target=longer, source=shorter, regular=True)
             images[longer] = lw[len(sw) :]
-
-            def expand(word):
-                out = []
-                for z in word:
-                    if z == longer:
-                        out.append(shorter)
-                    out.append(z)
-                return tuple(out)
-
-            u, v = expand(u), expand(v)
+        steps.append(step)
+        f = step.as_endo(n)
+        u, v = f.apply(u), f.apply(v)
     theta = Morphism(Word(images.get(i, (1,))) for i in range(1, n + 1))
     fact = SolutionFactorization(n=n, erased=erased, steps=tuple(steps), theta=theta)
     if fact.recompose() != h:
         raise TheoremCheckError("factorization fails to recompose the solution")
-    f = fact.intermediate()
-    if endo_apply(f, eq.lhs) != endo_apply(f, eq.rhs):
+    if not eq.solved_by(fact.intermediate()):
         raise TheoremCheckError("reduced endomorphism is not a solution over the unknowns")
     return fact
 
@@ -216,7 +184,7 @@ class AbelianMatrix:
         return rational_matrix_rank(self.entries)
 
 
-def abelian_matrix(endo: Endomorphism) -> AbelianMatrix:
+def abelian_matrix(endo: Morphism) -> AbelianMatrix:
     """Entry (i, j) counts the occurrences of x_j in the image of x_i."""
     n = len(endo)
     return AbelianMatrix(
@@ -224,28 +192,19 @@ def abelian_matrix(endo: Endomorphism) -> AbelianMatrix:
     )
 
 
-def position_matrix(endo: Endomorphism, lt: LengthType) -> PolyMatrix:
-    """Entry (i, j) sums X^(prefix image length) over occurrences of x_j.
+def position_matrix(endo: Morphism, lt: LengthType) -> PolyMatrix:
+    """Entry (i, j) sums X^(prefix image length) over occurrences of x_j in endo(x_i).
 
     The length type is that of the downstream letter morphism, so the
     matrix pushes encoded images through the endomorphism: encoding the
     composite equals the matrix times the vector of encodings.
     """
-    n = len(endo)
-    if len(lt) != n:
+    if len(lt) != len(endo):
         raise ValueError("length type size does not match the unknown count")
-    rows = []
-    for i in range(n):
-        cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        pos = 0
-        for z in endo[i]:
-            cells[z - 1].append((pos, 1))
-            pos += lt[z - 1]
-        rows.append(tuple(IntPolynomial(cell) for cell in cells))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(tuple(position_row(((img, 1),), lt) for img in endo))
 
 
-def verify_composition_identities(endo: Endomorphism, g: Morphism) -> dict:
+def verify_composition_identities(endo: Morphism, g: Morphism) -> dict:
     """Check both composition identities exactly for one endomorphism.
 
     Length types: the length type of g after endo equals the abelian
@@ -255,7 +214,7 @@ def verify_composition_identities(endo: Endomorphism, g: Morphism) -> dict:
     """
     if len(endo) != g.n:
         raise ValueError("endomorphism and morphism disagree on the unknown count")
-    composite = morphism_after_endo(g, endo)
+    composite = g.compose(endo)
     a = abelian_matrix(endo)
     lt_expected = a.apply(g.length_type())
     lt_actual = composite.length_type()

@@ -108,6 +108,11 @@ class Morphism(tuple):
         """Wrap a nonempty tuple of Words, skipping the checks of ``__new__``."""
         return tuple.__new__(cls, images)
 
+    @classmethod
+    def identity(cls, n: int) -> "Morphism":
+        """The endomorphism x_i -> x_i of the unknowns x_1..x_n."""
+        return cls(Word._trusted((i,)) for i in range(1, n + 1))
+
     @property
     def images(self) -> "Morphism":
         """The morphism itself, for callers written against the image field."""
@@ -125,7 +130,11 @@ class Morphism(tuple):
         letters = []
         for x in unknowns:
             letters.extend(self[x - 1])
-        return Word(letters)
+        return Word._trusted(letters)
+
+    def compose(self, inner) -> "Morphism":
+        """The map x -> self(inner(x)); inner is any tuple of words over the unknowns."""
+        return Morphism(self.apply(w) for w in inner)
 
     def length_type(self) -> LengthType:
         return LengthType(len(w) for w in self)

@@ -13,6 +13,7 @@ from wordeq import (
     EnumerationBudget,
     Equation,
     LengthType,
+    Morphism,
     PolyMatrix,
     Word,
     balance_theorem_check,
@@ -41,11 +42,7 @@ from wordeq import (
 from wordeq.transforms import (
     ElementaryTransformation,
     abelian_matrix,
-    endo_apply,
-    endo_compose,
-    endo_identity,
     factorize_solution,
-    morphism_after_endo,
     position_matrix,
 )
 from wordeq.words import words_of_length
@@ -335,7 +332,7 @@ def test_c09_factorization_suite():
             assert fact.recompose() == h
             assert fact.theta.is_nonerasing
             inter = fact.intermediate()
-            assert endo_apply(inter, eq.lhs) == endo_apply(inter, eq.rhs)
+            assert inter.apply(eq.lhs) == inter.apply(eq.rhs)
             assert combinatorial_rank(h, eq.n) <= fact.rank_bound
             total += 1
     elapsed = time.perf_counter() - start
@@ -360,10 +357,10 @@ def test_c10_composition_matrix_identities():
         g = morphism(
             *[tuple(rng.choice((1, 2)) for _ in range(rng.randint(1, 3))) for _ in range(n)]
         )
-        f = endo_identity(n)
+        f = Morphism.identity(n)
         for st in steps:
-            f = endo_compose(st.as_endo(n), f)
-        composite = morphism_after_endo(g, f)
+            f = st.as_endo(n).compose(f)
+        composite = g.compose(f)
         # occurrence-count identity across the whole chain
         lg = list(g.length_type())
         for st in reversed(steps):
@@ -374,7 +371,7 @@ def test_c10_composition_matrix_identities():
         current = g
         for st in reversed(steps):
             vec = position_matrix(st.as_endo(n), current.length_type()).apply(vec)
-            current = morphism_after_endo(current, st.as_endo(n))
+            current = current.compose(st.as_endo(n))
         assert vec == tuple(encode_poly(w) for w in composite.images)
     elapsed = time.perf_counter() - start
     _report(10, elapsed, 10)

@@ -278,6 +278,17 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.returncode == 1
 
 
+def test_budget_past_the_candidate_bound_exits_before_any_scan():
+    # about 1e12 candidates: a scan would not end within the timeout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["--json", "system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "30"]
+    proc = subprocess.run([sys.executable, "-m", "wordeq.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=10)
+    assert proc.returncode == 1
+    assert b"more than 10000000" in proc.stderr
+
+
 class TestRecipes:
     @pytest.mark.parametrize("name", sorted(RECIPES))
     def test_recipe_matches_golden(self, name):

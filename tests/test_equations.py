@@ -9,6 +9,7 @@ from wordeq import (
     InputFormatError,
     LengthType,
     PolyMatrix,
+    Word,
     coefficient_matrix,
     encode_poly,
     parse_equation,
@@ -44,6 +45,12 @@ class TestEquation:
         with pytest.raises(ValueError):
             Equation((1, 4), (2,), 3)
 
+    def test_bool_unknown_rejected(self):
+        # bool is an int subclass, so True would pass for the unknown 1
+        with pytest.raises(ValueError):
+            Equation((True, 2), (2, 1), 2)
+        assert type(CYCLE.lhs) is Word and CYCLE.rhs == (3, 1, 2)
+
     def test_solved_by_takes_a_morphism(self):
         h, g = morphism((1,), (2,), (1, 2)), morphism((1,), (2,), (2, 1))
         assert CYCLE.solved_by(h) and not CYCLE.solved_by(g)
@@ -60,6 +67,12 @@ class TestQPolynomial:
         eq = eq1("x y = x y")
         for x in (1, 2):
             assert q_polynomial(eq, x, LengthType((3, 5))).is_zero
+
+    def test_unknown_out_of_range_rejected(self):
+        # the coefficients form a row indexed by x - 1, where 0 would wrap to the last unknown
+        for x in (0, 4):
+            with pytest.raises(ValueError, match="out of range 1..3"):
+                q_polynomial(CYCLE, x, L112)
 
     def test_value_at_one_is_occurrence_surplus(self):
         rng = random.Random(5)

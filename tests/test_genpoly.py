@@ -8,6 +8,7 @@ from wordeq import (
     GenPoly,
     LengthType,
     LinForm,
+    coefficient_matrix,
     iso_multivariate,
     minor_t,
     parse_genpoly,
@@ -111,8 +112,10 @@ class TestSubstitute:
             rhs = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 8 - len(lhs))))
             eq = Equation(lhs, rhs, n)
             lt = LengthType(tuple(rng.randint(0, 5) for _ in range(n)))
+            row = coefficient_matrix([eq], lt).entries[0]
             for x in range(1, n + 1):
                 assert s_polynomial(eq, x).substitute(lt) == q_polynomial(eq, x, lt)
+                assert s_polynomial(eq, x).substitute(lt) == row[x - 1]
 
     def test_ring_homomorphism(self):
         rng = random.Random(47)

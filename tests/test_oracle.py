@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import wordeq.oracle as oracle
 from wordeq import (
     EnumerationBudget,
     Equation,
@@ -59,6 +60,24 @@ class TestEnumerate:
             for bound in (0, 1, 3, 5):
                 out = enumerate_solutions(system, EnumerationBudget((1, 2), bound))
                 assert out.candidates_visited == candidate_count(n, 2, bound)
+
+    def test_candidate_count_is_the_sum_over_length_types(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            n, bound = rng.randint(1, 4), rng.randint(0, 5)
+            alphabet = tuple(rng.sample(range(1, 6), rng.randint(1, 3)))
+            out = enumerate_solutions([], EnumerationBudget(alphabet, bound), n=n)
+            per_type = sum(len(alphabet) ** sum(lt) for lt in length_types_up_to(n, bound))
+            assert out.candidates_visited == per_type
+
+    def test_budgets_past_the_candidate_bound_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 100)
+        budget = EnumerationBudget((1, 2), 6)
+        with pytest.raises(ValueError, match="asks for 769 candidates"):
+            enumerate_solutions([SWAP], budget)
+        # x x y = y x x holds exactly when x and y commute, so no witness exists
+        with pytest.raises(ValueError, match="passed 100 candidates"):
+            independence_check([SWAP, eq1("x x y = y x x")], budget)
 
     def test_empty_system_needs_n(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from wordeq import (
     ElementaryTransformation,
     EnumerationBudget,
     LengthType,
+    Morphism,
     Word,
     abelian_matrix,
     combinatorial_rank,
@@ -17,7 +18,6 @@ from wordeq import (
     rank_polymatrix,
     verify_composition_identities,
 )
-from wordeq.transforms import endo_apply, endo_compose, endo_identity, morphism_after_endo
 
 from conftest import eq1, morphism
 
@@ -64,7 +64,7 @@ class TestFactorize:
         assert f.rank_bound == 2
         assert f.recompose() == h
         inter = f.intermediate()
-        assert endo_apply(inter, CYCLE.lhs) == endo_apply(inter, CYCLE.rhs)
+        assert inter.apply(CYCLE.lhs) == inter.apply(CYCLE.rhs)
 
     def test_non_solution_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestFactorize:
             assert f.recompose() == h
             assert f.theta.is_nonerasing
             inter = f.intermediate()
-            assert endo_apply(inter, eq.lhs) == endo_apply(inter, eq.rhs)
+            assert inter.apply(eq.lhs) == inter.apply(eq.rhs)
             assert combinatorial_rank(h, eq.n) <= f.rank_bound
 
     def test_script_round_trip(self):
@@ -120,7 +120,7 @@ class TestAbelianMatrix:
         assert a.rank() == 2
 
     def test_identity(self):
-        a = abelian_matrix(endo_identity(3))
+        a = abelian_matrix(Morphism.identity(3))
         assert a.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -141,7 +141,7 @@ class TestPositionMatrix:
         assert rank_polymatrix(b) == 2
 
     def test_identity(self):
-        b = position_matrix(endo_identity(3), LengthType((2, 3, 4)))
+        b = position_matrix(Morphism.identity(3), LengthType((2, 3, 4)))
         for i in range(3):
             for j in range(3):
                 assert b.entries[i][j].to_text() == ("1" if i == j else "0")
@@ -175,11 +175,11 @@ class TestCompositionIdentities:
         assert report["checks_passed"]
         assert report["length_type"] == [2, 1]
         # direct expansion: image of x1 becomes 21, encoded 2 + X
-        assert morphism_after_endo(g, phi.as_endo(2)).images[0].to_text() == "21"
+        assert g.compose(phi.as_endo(2)).images[0].to_text() == "21"
 
     def test_identity_endo(self):
         g = morphism((1, 2), (2,))
-        assert verify_composition_identities(endo_identity(2), g)["checks_passed"]
+        assert verify_composition_identities(Morphism.identity(2), g)["checks_passed"]
 
     def test_erasing_endo(self):
         alpha = ((), (2,))
@@ -197,10 +197,10 @@ class TestCompositionIdentities:
                 *[tuple(rng.choice((1, 2)) for _ in range(rng.randint(1, 3))) for _ in range(n)]
             )
             # composite of the whole chain applied before g
-            f = endo_identity(n)
+            f = Morphism.identity(n)
             for st in steps:
-                f = endo_compose(st.as_endo(n), f)
-            composite = morphism_after_endo(g, f)
+                f = st.as_endo(n).compose(f)
+            composite = g.compose(f)
             # per-step matrices taken at the length type of g composed
             # with all later steps, applied innermost-first
             vec = tuple(encode_poly(w) for w in g.images)
@@ -209,7 +209,7 @@ class TestCompositionIdentities:
             mats = []
             for st in reversed(steps):
                 mats.append(position_matrix(st.as_endo(n), current.length_type()))
-                current = morphism_after_endo(current, st.as_endo(n))
+                current = current.compose(st.as_endo(n))
             for mat in mats:
                 expected = mat.apply(expected)
             assert expected == tuple(encode_poly(w) for w in composite.images)

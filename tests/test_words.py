@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -87,6 +88,27 @@ class TestMorphism:
             Morphism(())
         with pytest.raises(TypeError, match="morphism images must be Word instances"):
             Morphism(((1,),))
+
+    def test_identity_and_composition_laws(self):
+        rng = random.Random(59)
+
+        def endo(n):
+            return Morphism(
+                Word(rng.randint(1, n) for _ in range(rng.randint(0, 3))) for _ in range(n)
+            )
+
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            f, g, h = endo(n), endo(n), endo(n)
+            identity = Morphism.identity(n)
+            assert identity == tuple((i,) for i in range(1, n + 1))
+            assert identity.compose(f) == f and f.compose(identity) == f
+            assert f.compose(g).compose(h) == f.compose(g.compose(h))
+            # a plain tuple of tuples composes like the Morphism it spells
+            plain = tuple(tuple(w) for w in h)
+            assert type(g.compose(plain)) is Morphism and g.compose(plain) == g.compose(h)
+            for x in range(1, n + 1):
+                assert f.compose(g).image(x) == f.apply(g.image(x))
 
 
 class TestPrimitiveRoot:
