@@ -56,9 +56,7 @@ from .polynomials import (
     encode_ratfun,
     fine_wilf_check,
     parse_polynomial,
-    parse_rational,
     poly_concat_identity,
-    poly_gcd,
     primdiv_check,
 )
 from .transforms import (

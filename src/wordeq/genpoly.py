@@ -74,10 +74,6 @@ def zero_form(n: int) -> LinForm:
     return LinForm((0,) * n)
 
 
-def unit_form(n: int, i: int) -> LinForm:
-    return LinForm(1 if j == i else 0 for j in range(1, n + 1))
-
-
 class GenPoly(SparsePoly):
     """Integer combination of formal powers X^p with linear-form exponents p."""
 

@@ -183,16 +183,6 @@ class IntPolynomial(SparsePoly):
     def leading_coefficient(self) -> int:
         return self._terms[max(self._terms)] if self._terms else 0
 
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        return gcd(*self._terms.values())
-
-    def primitive_part(self) -> "IntPolynomial":
-        g = self.content()
-        if g <= 1:
-            return self
-        return self._new(1, {d: c // g for d, c in self._terms.items()})
-
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by X^k."""
         if k < 0:
@@ -240,13 +230,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial(terms)
 
 
-def divides(d: IntPolynomial, a: IntPolynomial) -> bool:
-    """Whether d divides a over the rationals (d nonzero)."""
-    if d.is_zero:
-        return a.is_zero
-    return _pseudo_rem(a, d).is_zero
-
-
 def _coeff_list(p: IntPolynomial) -> list:
     """Dense coefficients of p, indexed by degree."""
     out = [0] * (p.degree + 1)
@@ -281,12 +264,6 @@ def exact_div(a: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
     return IntPolynomial._new(1, quo)
 
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Remainder of lc(b)^k a by b, with one factor lc(b) per elimination step."""
-    r = _reduce(_coeff_list(a), b)
-    return IntPolynomial._new(1, {k: c for k, c in enumerate(r) if c})
-
-
 def _reduce(r: list, b: IntPolynomial) -> list:
     """Pseudo-remainder of the dense coefficient list r by b, below b's degree.
 
@@ -305,42 +282,11 @@ def _reduce(r: list, b: IntPolynomial) -> list:
     return r[:db]
 
 
-def _normalize_gcd(p: IntPolynomial) -> IntPolynomial:
-    p = p.primitive_part()
-    if p.leading_coefficient < 0:
-        p = -p
-    return p
-
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Gcd over the rationals, normalized primitive with positive leading coefficient."""
-    if a.is_zero and b.is_zero:
-        return IntPolynomial()
-    if a.is_zero:
-        return _normalize_gcd(b)
-    if b.is_zero:
-        return _normalize_gcd(a)
-    p, q = a.primitive_part(), b.primitive_part()
-    if p.degree < q.degree:
-        p, q = q, p
-    while not q.is_zero:
-        r = _pseudo_rem(p, q).primitive_part()
-        p, q = q, r
-    return _normalize_gcd(p)
-
-
 def x_power_minus_one(n: int) -> IntPolynomial:
     """X^n - 1."""
     if n < 1:
         raise ValueError("exponent must be positive")
     return IntPolynomial({n: 1, 0: -1})
-
-
-def power_sum(n: int, d: int) -> IntPolynomial:
-    """(X^n - 1)/(X^d - 1) = 1 + X^d + ... + X^(n-d), for d dividing n."""
-    if d < 1 or n % d:
-        raise ValueError("d must be a positive divisor of n")
-    return IntPolynomial({k: 1 for k in range(0, n, d)})
 
 
 @lru_cache(maxsize=256)
@@ -353,56 +299,16 @@ def cyclotomic(d: int) -> IntPolynomial:
     return p
 
 
+@dataclass(frozen=True, repr=False)
 class RationalFunction:
-    """Quotient of integer polynomials in a unique reduced form.
+    """The reduced pair numerator/denominator that encode_ratfun returns.
 
-    The numerator/denominator pair is divided by its polynomial gcd and by
-    its joint integer content, and the denominator leading coefficient is
-    made positive, so equality is plain structural equality.
+    The pair is taken as given: encode_ratfun builds it coprime with a
+    monic denominator, so equality is plain structural equality.
     """
 
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial):
-        if denominator.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if numerator.is_zero:
-            numerator, denominator = IntPolynomial(), IntPolynomial.one()
-        else:
-            g = poly_gcd(numerator, denominator)
-            if g.degree > 0:
-                numerator = exact_div(numerator, g)
-                denominator = exact_div(denominator, g)
-            c = gcd(numerator.content(), denominator.content())
-            if c > 1:
-                numerator = IntPolynomial({d: v // c for d, v in numerator.items()})
-                denominator = IntPolynomial({d: v // c for d, v in denominator.items()})
-            if denominator.leading_coefficient < 0:
-                numerator = -numerator
-                denominator = -denominator
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    @classmethod
-    def _reduced(cls, numerator: IntPolynomial, denominator: IntPolynomial) -> "RationalFunction":
-        """Wrap a pair already in reduced form, skipping the gcd and normalisation."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "numerator", numerator)
-        object.__setattr__(r, "denominator", denominator)
-        return r
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
+    numerator: IntPolynomial
+    denominator: IntPolynomial
 
     def to_text(self) -> str:
         return f"({self.numerator.to_text()})/({self.denominator.to_text()})"
@@ -412,14 +318,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()!r})"
-
-
-def parse_rational(text: str) -> RationalFunction:
-    """Parse "(num)/(den)" in the to_text format."""
-    m = re.fullmatch(r"\s*\((.*)\)\s*/\s*\((.*)\)\s*", text)
-    if not m:
-        raise InputFormatError(f"cannot parse rational function {text!r}")
-    return RationalFunction(parse_polynomial(m.group(1)), parse_polynomial(m.group(2)))
 
 
 # --- word encodings -------------------------------------------------------
@@ -464,7 +362,7 @@ def encode_ratfun(w: Word) -> RationalFunction:
         if divides_root:
             common = common * cyclotomic(d)
     numerator = exact_div(encode_poly(root), common)
-    return RationalFunction._reduced(numerator, exact_div(x_power_minus_one(len(root)), common))
+    return RationalFunction(numerator, exact_div(x_power_minus_one(len(root)), common))
 
 
 def poly_concat_identity(ws) -> IntPolynomial:

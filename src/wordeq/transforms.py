@@ -159,9 +159,10 @@ def factorize_solution(eq: Equation, h: Morphism) -> SolutionFactorization:
         u, v = f.apply(u), f.apply(v)
     theta = Morphism(Word(images.get(i, (1,))) for i in range(1, n + 1))
     fact = SolutionFactorization(n=n, erased=erased, steps=tuple(steps), theta=theta)
-    if fact.recompose() != h:
+    f = fact.intermediate()
+    if theta.compose(f) != h:
         raise TheoremCheckError("factorization fails to recompose the solution")
-    if not eq.solved_by(fact.intermediate()):
+    if not eq.solved_by(f):
         raise TheoremCheckError("reduced endomorphism is not a solution over the unknowns")
     return fact
 

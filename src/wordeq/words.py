@@ -50,10 +50,6 @@ class Word(tuple):
 
     __rmul__ = __mul__
 
-    @property
-    def is_empty(self) -> bool:
-        return not self
-
     def to_text(self) -> str:
         if not self:
             return "eps"
@@ -79,10 +75,6 @@ class LengthType(tuple):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"length type entries must be nonnegative, got {v!r}")
         return self
-
-    @property
-    def total(self) -> int:
-        return sum(self)
 
     def apply(self, unknowns) -> int:
         """Length of the image of a word over unknowns, computed from lengths only."""
@@ -142,10 +134,6 @@ class Morphism(tuple):
     @property
     def is_nonerasing(self) -> bool:
         return all(self)
-
-    @property
-    def all_empty(self) -> bool:
-        return not any(self)
 
 
 def _divisors(num: int):

@@ -11,6 +11,8 @@ from math import gcd
 from wordeq.equations import PolyMatrix
 from wordeq.polynomials import IntPolynomial, exact_div
 
+from ratfun_reference import content
+
 
 def _pivot_weight(p: IntPolynomial):
     terms = p.items()
@@ -30,7 +32,7 @@ def symbolic_rank(matrix: PolyMatrix) -> int:
     for r in rows:
         g = 0
         for p in r:
-            g = gcd(g, p.content())
+            g = gcd(g, content(p))
         if g > 1:
             for j, p in enumerate(r):
                 r[j] = IntPolynomial({d: c // g for d, c in p.items()})
@@ -67,7 +69,7 @@ def symbolic_rank(matrix: PolyMatrix) -> int:
             except ArithmeticError:
                 g = 0
                 for p in new:
-                    g = gcd(g, p.content())
+                    g = gcd(g, content(p))
                 if g > 1:
                     new = [IntPolynomial({d: cc // g for d, cc in p.items()}) for p in new]
             if any(not p.is_zero for p in new):

@@ -16,7 +16,7 @@ from wordeq import (
     q_polynomial,
     s_polynomial,
 )
-from wordeq.genpoly import MultiPoly, unit_form, zero_form
+from wordeq.genpoly import MultiPoly, zero_form
 
 from conftest import eq1
 
@@ -253,6 +253,6 @@ class TestRendering:
             assert parse_genpoly(g.to_text(), 3) == g
 
     def test_unit_and_zero_forms(self):
-        assert unit_form(3, 2).to_text() == "X2"
+        assert LinForm((0, 1, 0)).to_text() == "X2"
         assert zero_form(3).to_text() == "0"
         assert gp("0").is_zero

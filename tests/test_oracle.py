@@ -128,7 +128,7 @@ class TestFiltering:
     def test_rank_annotation(self):
         out = rank_annotate(enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 4)))
         for h, r in zip(out.solutions, out.ranks):
-            if h.all_empty:
+            if not any(h):
                 assert r == 0
         idx = [tuple(w.to_text() for w in h.images) for h in out].index(("1", "2", "12"))
         assert out.ranks[idx] == 2

@@ -38,18 +38,18 @@ class TestWord:
 
     def test_empty_word_is_valid(self):
         assert len(Word()) == 0
-        assert Word().is_empty
+        assert Word() == ()
 
     def test_concat_and_power(self):
         w = Word((1, 2))
         assert (w + w).letters == (1, 2, 1, 2)
         assert (w * 3).letters == (1, 2) * 3
-        assert (w * 0).is_empty
+        assert w * 0 == ()
 
     def test_parse_and_render(self):
         assert parse_word("1212").letters == (1, 2, 1, 2)
         assert parse_word("[10,2,3]").letters == (10, 2, 3)
-        assert parse_word("eps").is_empty
+        assert parse_word("eps") == ()
         assert parse_word("[10,2,3]").to_text() == "[10,2,3]"
         assert parse_word("1212").to_text() == "1212"
         assert Word().to_text() == "eps"
@@ -127,7 +127,7 @@ class TestPrimitiveRoot:
 
     def test_idempotent_and_exact_power(self):
         for w in words_over((1, 2), 8):
-            if w.is_empty:
+            if w == ():
                 continue
             root = primitive_root(w)
             assert primitive_root(root) == root
@@ -233,7 +233,7 @@ class TestLengthType:
 
     def test_length_type_is_its_length_tuple(self):
         lt = morphism((1,), (2,), (1, 2)).length_type()
-        assert type(lt) is LengthType and lt == (1, 1, 2) and lt.total == 4
+        assert type(lt) is LengthType and lt == (1, 1, 2) and sum(lt) == 4
         assert lt[2] == 2 and len(lt) == 3
         with pytest.raises(ValueError, match="must be nonnegative"):
             LengthType((1, "2"))
