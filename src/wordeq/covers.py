@@ -268,7 +268,7 @@ def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
     profile = balance_profile(eq1)
     if not any(profile):
         return {"applicable": False, "reason": "first equation is balanced"}
-    sols = rank_annotate(enumerate_solutions([eq1], budget), n)
+    sols = rank_annotate(enumerate_solutions([eq1], budget))
     top = sols.of_rank(n - 1)
     common = [h for h in top if eq2.solved_by(h)]
     if not common:
@@ -320,11 +320,10 @@ def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
     """Nonerasing solutions can have rank at most the component count."""
     system = list(system)
     r = graph_components(system)
-    n = system[0].n
     sols = enumerate_solutions(system, budget).nonerasing()
     worst = 0
     for h in sols:
-        rank = combinatorial_rank(h, n)
+        rank = combinatorial_rank(h)
         worst = max(worst, rank)
         if rank > r:
             raise TheoremCheckError(
@@ -372,7 +371,7 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
         for j in range(i + 1, n + 1):
             if commute_check(h.image(i), h.image(j)):
                 return {"applicable": False, "reason": f"images of x{i} and x{j} commute"}
-    if combinatorial_rank(h, n) != n - 1:
+    if combinatorial_rank(h) != n - 1:
         return {"applicable": False, "reason": "solution rank is not n-1"}
     if n > 5:
         return {"applicable": False, "reason": "renaming search capped at 5 unknowns"}
@@ -431,7 +430,7 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
     for eq in equations:
         if eq.is_trivial:
             raise ValueError("chains are made of nontrivial equations")
-    base = rank_annotate(enumerate_solutions([equations[0]], budget), n)
+    base = rank_annotate(enumerate_solutions([equations[0]], budget))
     current = base.of_rank(n - 1)
     sets = [set(current)]
     strict = []

@@ -25,7 +25,7 @@ from .words import (
 )
 
 # candidates one enumeration may test: a larger budget is refused before any scan
-MAX_CANDIDATES = 10**7
+MAX_CANDIDATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class SolutionSet:
         keep = [i for i, h in enumerate(self.solutions) if h.length_type() == wanted]
         return self._filtered(keep)
 
-    def of_rank(self, r: int, cap: int | None = None) -> "SolutionSet":
+    def of_rank(self, r: int) -> "SolutionSet":
         """Solutions of exact combinatorial rank r (annotating on demand)."""
-        annotated = self if self.ranks is not None else rank_annotate(self, cap)
+        annotated = self if self.ranks is not None else rank_annotate(self)
         keep = [i for i, rk in enumerate(annotated.ranks) if rk == r]
         return annotated._filtered(keep)
 
@@ -206,10 +206,9 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     )
 
 
-def rank_annotate(solset: SolutionSet, cap: int | None = None) -> SolutionSet:
-    """Attach exact combinatorial ranks (up to cap, default n) to a solution set."""
-    cap = cap or solset.n
-    return replace(solset, ranks=tuple(combinatorial_rank(h, cap) for h in solset.solutions))
+def rank_annotate(solset: SolutionSet) -> SolutionSet:
+    """Attach exact combinatorial ranks to a solution set."""
+    return replace(solset, ranks=tuple(combinatorial_rank(h) for h in solset.solutions))
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
@@ -298,7 +297,7 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
         for eq in system:
             if not eq.solved_by(h):
                 raise ValueError("a supplied morphism does not solve the system")
-        r = combinatorial_rank(h, n)
+        r = combinatorial_rank(h)
         ranks.append(r)
         if matrix_rank > n - r:
             raise TheoremCheckError(
@@ -314,10 +313,7 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
     applicable = matrix_rank == 1 and zeros <= 1 and all(not e.is_trivial for e in system)
     claim2 = {"applicable": applicable}
     if applicable:
-        candidates = 1
-        for v in lt:
-            candidates *= len(alphabet) ** v
-        if candidates > 10**6:
+        if len(alphabet) ** sum(lt) > MAX_CANDIDATES:
             raise ValueError("length type too large for exhaustive comparison")
         sets = [set(solutions_of_length_type([eq], lt, alphabet)) for eq in system]
         equal = all(s == sets[0] for s in sets[1:])

@@ -1,11 +1,15 @@
-"""Slow reference rank: fraction-free elimination over Z[X].
+"""Slow reference ranks for the differential tests.
 
-This is the polynomial Bareiss elimination that rank_polymatrix used
-before it became a single integer elimination at a certified point.  It
-never evaluates the matrix, so it is an independent twin for the
-differential tests.
+symbolic_rank is the polynomial Bareiss elimination that rank_polymatrix
+used before it became a single integer elimination at a certified point.
+It never evaluates the matrix, so it is an independent twin.
+
+factor_subset_rank is the generate-and-test search that
+combinatorial_rank used before its left-to-right parse search: it tries
+every r-subset of the images' factors, smallest r first.
 """
 
+import itertools
 from math import gcd
 
 from wordeq.equations import PolyMatrix
@@ -81,3 +85,50 @@ def symbolic_rank(matrix: PolyMatrix) -> int:
         prev = pivot
         rows = remaining
     return rank
+
+
+def _factors(letters):
+    out = set()
+    size = len(letters)
+    for i in range(size):
+        for j in range(i + 1, size + 1):
+            out.add(letters[i:j])
+    return out
+
+
+def _in_star(word, pieces) -> bool:
+    size = len(word)
+    reach = [False] * (size + 1)
+    reach[0] = True
+    for i in range(size):
+        if not reach[i]:
+            continue
+        for p in pieces:
+            end = i + len(p)
+            if end <= size and word[i:end] == p:
+                reach[end] = True
+    return reach[size]
+
+
+def factor_subset_rank(images) -> int:
+    """Least r such that some r-word set A has every nonempty image in A*.
+
+    A minimal A can always be drawn from the factors of the images (unused
+    elements can be dropped), and one element of A is a prefix of the first
+    image, so the search is exhaustive over those factor subsets.
+    """
+    images = sorted({tuple(w) for w in images if w})
+    if not images:
+        return 0
+    candidates = set()
+    for w in images:
+        candidates |= _factors(w)
+    candidates = sorted(candidates, key=lambda f: (len(f), f))
+    prefixes = {images[0][:i] for i in range(1, len(images[0]) + 1)}
+    for r in range(1, len(images)):
+        for combo in itertools.combinations(candidates, r):
+            if not any(p in prefixes for p in combo):
+                continue
+            if all(_in_star(w, combo) for w in images):
+                return r
+    return len(images)

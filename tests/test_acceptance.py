@@ -257,7 +257,7 @@ def test_c06_matrix_rank_bounds_solution_rank():
                 continue
             matrix_rank = rank_polymatrix(coefficient_matrix(system, lt))
             for h in sols:
-                r = combinatorial_rank(h, n)
+                r = combinatorial_rank(h)
                 assert matrix_rank <= n - r
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -333,7 +333,7 @@ def test_c09_factorization_suite():
             assert fact.theta.is_nonerasing
             inter = fact.intermediate()
             assert inter.apply(eq.lhs) == inter.apply(eq.rhs)
-            assert combinatorial_rank(h, eq.n) <= fact.rank_bound
+            assert combinatorial_rank(h) <= fact.rank_bound
             total += 1
     elapsed = time.perf_counter() - start
     _report(9, elapsed, 60, f"(factorizations: {total})")

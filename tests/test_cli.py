@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import wordeq.cli
+from wordeq import oracle, words
 from wordeq.cli import COMMANDS, _json_text, run
 from wordeq.polynomials import IntPolynomial
+from wordeq.words import _minimal_factor_cover
 
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = json.loads((ROOT / "recipes" / "recipes.json").read_text())
@@ -160,6 +162,16 @@ class TestExitCodes:
             assert out == ""
             assert "length type size does not match the unknown count" in err
 
+    def test_rank_search_past_the_state_bound_is_input_error(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_RANK_STATES", 5)
+        _minimal_factor_cover.cache_clear()
+        code, out, err = invoke(
+            ["--json", "system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "4"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "input error: the combinatorial rank search passed 5 states" in err
+
     def test_unknown_flag(self):
         code, _, err = invoke(["encode", "--frobnicate", "1"])
         assert code == 1
@@ -286,7 +298,7 @@ def test_budget_past_the_candidate_bound_exits_before_any_scan():
     proc = subprocess.run([sys.executable, "-m", "wordeq.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10)
     assert proc.returncode == 1
-    assert b"more than 10000000" in proc.stderr
+    assert f"more than {oracle.MAX_CANDIDATES}".encode() in proc.stderr
 
 
 class TestRecipes:

@@ -157,9 +157,7 @@ class TestCoverSoundness:
                 full = cover_pair(e1, e2, kl=(minimal.k, minimal.l), full_pairing=True)
             except CoverError:
                 continue
-            top = rank_annotate(
-                enumerate_solutions([e1, e2], budget), n
-            ).of_rank(n - 1)
+            top = rank_annotate(enumerate_solutions([e1, e2], budget)).of_rank(n - 1)
             if not top.solutions:
                 continue
             exercised += 1

@@ -83,7 +83,7 @@ class TestFactorize:
             assert f.theta.is_nonerasing
             inter = f.intermediate()
             assert inter.apply(eq.lhs) == inter.apply(eq.rhs)
-            assert combinatorial_rank(h, eq.n) <= f.rank_bound
+            assert combinatorial_rank(h) <= f.rank_bound
 
     def test_script_round_trip(self):
         h = morphism((1,), (2,), (1, 2))

@@ -18,9 +18,11 @@ from wordeq import (
     primitive_root,
 )
 
+from wordeq import words
 from wordeq.words import _minimal_factor_cover
 
 from conftest import morphism
+from rank_reference import factor_subset_rank
 
 
 def words_over(alphabet, max_len):
@@ -172,7 +174,7 @@ class TestCombinatorialRank:
         assert combinatorial_rank(morphism((1, 1), (1, 1, 1, 1))) == 1
 
     def test_reversed_product_with_cap(self):
-        assert combinatorial_rank(morphism((1,), (2,), (2, 1)), cap=3) == 2
+        assert combinatorial_rank(morphism((1,), (2,), (2, 1))) == 2
 
     def test_all_empty(self):
         assert combinatorial_rank(morphism((), (), ())) == 0
@@ -180,8 +182,7 @@ class TestCombinatorialRank:
     def test_cap_sentinel(self):
         # three pairwise independent words over three letters
         h = morphism((1,), (2,), (3,))
-        assert combinatorial_rank(h, cap=2) is None
-        assert combinatorial_rank(h, cap=3) == 3
+        assert combinatorial_rank(h) == 3
 
     def test_rank_bounds_for_nonerasing(self):
         for images in itertools.product(list(itertools.product((1, 2), repeat=1)) +
@@ -198,6 +199,44 @@ class TestCombinatorialRank:
         # brute-force cross-check on mixed images
         h = morphism((1, 2, 1), (1,), (2, 1))
         assert combinatorial_rank(h) == 2
+
+    def test_matches_the_factor_subset_search(self):
+        rng = random.Random(12)
+        for case in range(3000):
+            letters = range(1, rng.randint(1, 3) + 1)
+
+            def word(size):
+                return Word(rng.choice(letters) for _ in range(size))
+
+            n = rng.randint(1, 4)
+            if case % 2:
+                images = [word(rng.randint(0, 6)) for _ in range(n)]
+            else:
+                # products of two base words, so ranks below n are common
+                bases = (word(rng.randint(1, 3)), word(rng.randint(1, 3)))
+                images = []
+                for _ in range(n):
+                    w = Word()
+                    for _ in range(rng.randint(0, 4)):
+                        piece = rng.choice(bases)
+                        if len(w) + len(piece) <= 6:
+                            w += piece
+                    images.append(w)
+            h = morphism(*images)
+            assert combinatorial_rank(h) == factor_subset_rank(h), h
+
+    def test_full_rank_of_long_images_within_the_state_bound(self):
+        # the factor-subset search took about three minutes on these images (2-CPU host)
+        rng = random.Random(4)
+        h = morphism(*(Word(rng.randint(1, 4) for _ in range(24)) for _ in range(4)))
+        _minimal_factor_cover.cache_clear()
+        assert combinatorial_rank(h) == 4
+
+    def test_state_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_RANK_STATES", 5)
+        _minimal_factor_cover.cache_clear()
+        with pytest.raises(ValueError, match="rank search"):
+            combinatorial_rank(morphism((1,), (2,), (3,), (4,)))
 
 
 class TestIsPeriodic:
