@@ -13,10 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .equations import Equation
+from .equations import Equation, unknown_count
 from .errors import TheoremCheckError
 from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms
-from .oracle import EnumerationBudget, enumerate_solutions, rank_annotate
+from .oracle import EnumerationBudget, budget_candidates, enumerate_solutions
+from .oracle import length_types_up_to, position_classes
 from .words import Morphism, Word, combinatorial_rank, commute_check
 
 
@@ -177,11 +178,9 @@ def cover_pair(
     full-pairing variant pairs every surviving positive form with every
     surviving negative form and serves as a trivially sound cross-check.
     """
-    if eq1.n != eq2.n:
-        raise ValueError("equations disagree on the number of unknowns")
+    n = unknown_count((eq1, eq2))
     if eq1.is_trivial or eq2.is_trivial:
         raise ValueError("cover construction needs nontrivial equations")
-    n = eq1.n
     if kl is not None:
         k, l = kl
         t = minor_t(eq1, eq2, k, l)
@@ -256,38 +255,93 @@ def balance_profile(eq: Equation) -> tuple[int, ...]:
     return tuple(eq.lhs.count(x) - eq.rhs.count(x) for x in range(1, eq.n + 1))
 
 
+def _top_rank_prefix_counts(equations, budget: EnumerationBudget):
+    """Prefix counts of the first equation's rank-(n-1) solutions, and its first escape.
+
+    The counts are of those solving the first 1, 2, ... equations; the
+    escape is the images of the first of them, by length type and then
+    images, that fails the second equation, or None.  At one length type
+    the solutions are the letter assignments of the position classes,
+    images of the generic solution g (class c -> letter c + 1) under
+    letter-to-letter maps, so no rank exceeds rank(g); if rank(g) = 2, a
+    rank is 1 exactly when the nonempty images commute
+    (Lyndon-Schützenberger), that is, when all are powers of one word.  A
+    budget past MAX_CANDIDATES is refused before any work.
+    """
+    first, later = equations[0], equations[1:]
+    budget_candidates(first.n, budget)
+    top = first.n - 1
+    passing = [0] * len(equations)  # solutions passing exactly j later equations
+    escape = None
+    for lt in sorted(length_types_up_to(first.n, budget.max_total_length)):
+        classes = position_classes((first,), lt)
+        if classes is None:
+            continue
+        cuts = list(itertools.accumulate(lt, initial=0))
+        runs = [classes[i:j] for i, j in zip(cuts, cuts[1:])]
+        generic = [Word._trusted(c + 1 for c in run) for run in runs]
+        r = combinatorial_rank(Morphism._trusted(generic))
+        # no solution here has a rank above r
+        if r < top:
+            continue
+        links = []
+        for eq in later:
+            # eq holds when each of its classes gets the letter of its first position
+            own, lead = position_classes((eq,), lt), {}
+            links.append(None if own is None else {
+                (classes[lead.setdefault(c, p)], classes[p]) for p, c in enumerate(own)
+            })
+        # the nonempty images are powers of one word exactly when their
+        # concatenation has the gcd of their lengths as a period
+        step = gcd(*lt)
+        period = {(classes[p], classes[p + step]) for p in range(len(classes) - step)}
+        for a in itertools.product(budget.alphabet, repeat=len(set(classes))):
+            rank = r
+            if r == 2 and all(a[c] == a[e] for c, e in period):
+                rank = 1
+            elif r > 2:
+                rank = combinatorial_rank([tuple([a[c] for c in run]) for run in runs])
+            if rank != top:
+                continue
+            passed = 0
+            for pairs in links:
+                if pairs is None or any(a[c] != a[e] for c, e in pairs):
+                    break
+                passed += 1
+            passing[passed] += 1
+            if escape is None and not passed:
+                escape = [Word._trusted(a[c] for c in run) for run in runs]
+    return list(itertools.accumulate(reversed(passing)))[::-1], escape
+
+
 def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudget) -> dict:
     """Unbalanced first equation: its maximal-rank solutions must solve the second.
 
-    Enumerates solutions of the first equation within the budget, keeps
-    the ones of rank n-1, and requires that each also solves the second
-    equation, provided the pair has at least one common rank-(n-1)
-    solution in the budget.  Reports a skip when not applicable.
+    Counts the rank-(n-1) solutions of the first equation within the
+    budget and requires that each also solves the second equation,
+    provided the pair has at least one common rank-(n-1) solution in the
+    budget.  Reports a skip when not applicable.
     """
-    n = eq1.n
-    profile = balance_profile(eq1)
-    if not any(profile):
+    unknown_count((eq1, eq2))
+    if not any(balance_profile(eq1)):
         return {"applicable": False, "reason": "first equation is balanced"}
-    sols = rank_annotate(enumerate_solutions([eq1], budget))
-    top = sols.of_rank(n - 1)
-    common = [h for h in top if eq2.solved_by(h)]
+    (top, common), escape = _top_rank_prefix_counts((eq1, eq2), budget)
     if not common:
         return {
             "applicable": False,
             "reason": "no common maximal-rank solution within budget",
             "budget": budget.describe(),
         }
-    for h in top:
-        if not eq2.solved_by(h):
-            raise TheoremCheckError(
-                "a maximal-rank solution of the unbalanced equation escapes the pair",
-                report={"images": [w.to_text() for w in h]},
-            )
+    if escape is not None:
+        raise TheoremCheckError(
+            "a maximal-rank solution of the unbalanced equation escapes the pair",
+            report={"images": [w.to_text() for w in escape]},
+        )
     return {
         "applicable": True,
         "budget": budget.describe(),
-        "rank_filtered": len(top.solutions),
-        "common": len(common),
+        "rank_filtered": top,
+        "common": common,
         "inclusion_holds": True,
     }
 
@@ -296,7 +350,7 @@ def graph_components(system, n: int | None = None) -> int:
     """Components of the graph joining the two leading unknowns of each equation."""
     system = list(system)
     if system:
-        n = system[0].n
+        n = unknown_count(system)
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
     parent = list(range(n + 1))
@@ -426,18 +480,13 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
     equations = list(equations)
     if not equations:
         raise ValueError("empty chain")
-    n = equations[0].n
+    unknown_count(equations)
     for eq in equations:
         if eq.is_trivial:
             raise ValueError("chains are made of nontrivial equations")
-    base = rank_annotate(enumerate_solutions([equations[0]], budget))
-    current = base.of_rank(n - 1)
-    sets = [set(current)]
-    strict = []
-    for eq in equations[1:]:
-        kept = {h for h in sets[-1] if eq.solved_by(h)}
-        strict.append(kept < sets[-1])
-        sets.append(kept)
+    sizes, _ = _top_rank_prefix_counts(equations, budget)
+    # each prefix's set holds the next one, so descent is strict exactly when the count drops
+    strict = [after < before for before, after in zip(sizes, sizes[1:])]
     realized = 1
     for flag in strict:
         if flag:
@@ -445,12 +494,12 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
         else:
             break
     report = {
-        "prefix_set_sizes": [len(s) for s in sets],
+        "prefix_set_sizes": sizes,
         "strict_descent": strict,
         "realized_chain_length": realized,
         "budget": budget.describe(),
     }
-    if realized >= 2 and sets[realized - 1]:
+    if realized >= 2 and sizes[realized - 1]:
         try:
             cover = cover_pair(equations[0], equations[1])
         except CoverError:

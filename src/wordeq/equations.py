@@ -175,14 +175,20 @@ class PolyMatrix:
         return tuple(tuple(p.evaluate(x) for p in row) for row in self.entries)
 
 
+def unknown_count(system) -> int:
+    """The number of unknowns shared by every equation of a nonempty system."""
+    n = system[0].n
+    if any(eq.n != n for eq in system):
+        raise ValueError("equations disagree on the number of unknowns")
+    return n
+
+
 def coefficient_matrix(system, lt: LengthType) -> PolyMatrix:
     """Row per equation, column per unknown, of positional coefficients."""
     system = list(system)
     if not system:
         raise ValueError("empty system")
-    n = system[0].n
-    if any(eq.n != n for eq in system):
-        raise ValueError("equations disagree on the number of unknowns")
+    unknown_count(system)
     return PolyMatrix(tuple(coefficient_row(eq, lt) for eq in system))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputFormatError
-from .equations import Equation
+from .equations import Equation, unknown_count
 from .polynomials import IntPolynomial, SparsePoly
 
 
@@ -146,8 +146,7 @@ def s_polynomial(eq: Equation, x: int) -> GenPoly:
 
 def minor_t(eq1: Equation, eq2: Equation, k: int, l: int) -> GenPoly:
     """2x2 minor of the symbolic coefficient rows of two equations."""
-    if eq1.n != eq2.n:
-        raise ValueError("equations disagree on the number of unknowns")
+    unknown_count((eq1, eq2))
     s1k = s_polynomial(eq1, k)
     s2l = s_polynomial(eq2, l)
     s1l = s_polynomial(eq1, l)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from math import comb
 
-from .equations import Equation, coefficient_matrix, rank_polymatrix
+from .equations import Equation, coefficient_matrix, rank_polymatrix, unknown_count
 from .errors import TheoremCheckError
 from .words import (
     LengthType,
@@ -173,26 +173,65 @@ def solutions_of_length_type(system, lt, alphabet, pools=None):
             yield images
 
 
+def position_classes(system, lt):
+    """Class of every letter position of the images x_1 ... x_n at one length type.
+
+    A constant-free equation holds exactly when the letters its two sides
+    align are equal, so the solutions of this length type are the letter
+    assignments of the classes.  Classes are numbered by first position, so
+    assignments in lexicographic order are solutions in image order.  None
+    when some equation's sides differ in length here.
+    """
+    runs, end = [], 0
+    for k in lt:
+        runs.append(Word._trusted(range(end + 1, end + k + 1)))
+        end += k
+    # each unknown sent to its own run of position numbers 1, 2, ...
+    places = Morphism._trusted(runs)
+    parent = list(range(end + 1))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for eq in system:
+        left, right = places.apply(eq.lhs), places.apply(eq.rhs)
+        if len(left) != len(right):
+            return None
+        for p, q in zip(left, right):
+            p, q = find(p), find(q)
+            if p != q:
+                parent[max(p, q)] = min(p, q)
+    number = {}
+    return tuple(number.setdefault(find(p), len(number)) for p in range(1, end + 1))
+
+
+def budget_candidates(n: int, budget: EnumerationBudget) -> int:
+    """Morphisms of n unknowns within the budget; past MAX_CANDIDATES a ValueError."""
+    # the C(t+n-1, n-1) length types of total t hold |A|^t candidates each
+    size = len(budget.alphabet)
+    visited = sum(comb(t + n - 1, n - 1) * size**t for t in range(budget.max_total_length + 1))
+    if visited > MAX_CANDIDATES:
+        raise ValueError(f"the budget asks for {visited} candidates, more than {MAX_CANDIDATES}")
+    return visited
+
+
 def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None) -> SolutionSet:
     """All morphisms within the budget solving every equation of the system.
 
     An empty system needs an explicit unknown count and is solved by
     every morphism.  Every length type counts its full candidate set as
-    visited, including the ones ruled out by side lengths without a scan:
-    the C(t+n-1, n-1) length types of total t hold |A|^t candidates each.
+    visited, including the ones ruled out by side lengths without a scan.
     A budget of more than MAX_CANDIDATES candidates is refused up front.
     """
     system = tuple(system)
     if system:
-        n = system[0].n
-        if any(eq.n != n for eq in system):
-            raise ValueError("equations disagree on the number of unknowns")
+        n = unknown_count(system)
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
-    size = len(budget.alphabet)
-    visited = sum(comb(t + n - 1, n - 1) * size**t for t in range(budget.max_total_length + 1))
-    if visited > MAX_CANDIDATES:
-        raise ValueError(f"the budget asks for {visited} candidates, more than {MAX_CANDIDATES}")
+    visited = budget_candidates(n, budget)
     found = {}
     pools = _WordPools(budget.alphabet)
     for lt in length_types_up_to(n, budget.max_total_length):
@@ -241,7 +280,7 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
     system = list(system)
     if not system:
         raise ValueError("independence needs at least one equation")
-    n = system[0].n
+    n = unknown_count(system)
     entries = []
     provably_dependent = False
     all_witnessed = True
@@ -287,7 +326,7 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
     if not system:
         raise ValueError("the rank theorem check needs at least one equation")
     lt = LengthType(lt)
-    n = system[0].n
+    n = unknown_count(system)
     matrix = coefficient_matrix(system, lt)
     matrix_rank = rank_polymatrix(matrix)
     ranks = []

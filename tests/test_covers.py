@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import wordeq.covers as covers
 from wordeq import (
     CoverError,
     EnumerationBudget,
@@ -23,7 +24,11 @@ from wordeq import (
     pair_form_check,
     rank_annotate,
 )
+from wordeq.errors import TheoremCheckError
+from wordeq.oracle import MAX_CANDIDATES
 
+import chain_reference
+from chain_reference import listing_balance_check, listing_chain_check
 from conftest import eq1, eqs, morphism
 
 
@@ -303,3 +308,75 @@ class TestChain:
     def test_trivial_equation_rejected(self):
         with pytest.raises(ValueError):
             chain_check([Equation((1,), (1,), 1)], EnumerationBudget((1, 2), 2))
+
+
+def _outcome(check, *args):
+    """A check's report, or the type, message and report of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # any error: the twin must raise the same one
+        return type(exc), str(exc), getattr(exc, "report", None)
+
+
+def _random_nontrivial(rng, n):
+    while True:
+        eq = Equation(
+            tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+            tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+            n,
+        )
+        if not eq.is_trivial:
+            return eq
+
+
+class TestCountingMatchesListing:
+    """chain_check and balance_theorem_check against their listing twins."""
+
+    def test_random_chains_and_pairs(self):
+        rng = random.Random(131)
+        # largest max-total per alphabet size, one less at four unknowns
+        tops = {1: 8, 2: 7, 3: 6}
+        descended = applicable = 0
+        for _ in range(320):
+            n = rng.randint(1, 4)
+            alphabet = rng.choice(((1,), (1, 2), (1, 2, 3)))
+            top = tops[len(alphabet)] - (n == 4 and len(alphabet) > 1)
+            budget = EnumerationBudget(alphabet, rng.randint(2, top))
+            chain = [_random_nontrivial(rng, n) for _ in range(rng.randint(1, 4))]
+            report = _outcome(chain_check, chain, budget)
+            assert report == _outcome(listing_chain_check, chain, budget), chain
+            descended += report["realized_chain_length"] > 1
+            pair = chain[0], chain[-1], budget
+            report = _outcome(balance_theorem_check, *pair)
+            assert report == _outcome(listing_balance_check, *pair), pair
+            applicable += report["applicable"]
+        assert descended >= 40
+        assert applicable >= 80
+
+    def test_same_first_escaping_solution(self, monkeypatch):
+        # the cycle is balanced; treated as unbalanced, its rank-2 solutions
+        # that are not of the form (u, v, uv) escape the pair
+        for module in (covers, chain_reference):
+            monkeypatch.setattr(module, "balance_profile", lambda eq: (1,))
+        e1, e3 = eq1("x1 x2 x3 = x3 x1 x2"), Equation((3,), (1, 2), 3)
+        for alphabet in ((1, 2), (1, 2, 3)):
+            budget = EnumerationBudget(alphabet, 5)
+            report = _outcome(balance_theorem_check, e1, e3, budget)
+            assert report[0] is TheoremCheckError
+            assert report == _outcome(listing_balance_check, e1, e3, budget)
+
+    def test_chain_budget_past_the_candidate_bound_refused(self, sample_pair):
+        budget = EnumerationBudget((1, 2), 30)
+        report = _outcome(chain_check, sample_pair, budget)
+        # sum over t <= 30 of C(t + 2, 2) 2^t candidates
+        message = f"the budget asks for 1000727379967 candidates, more than {MAX_CANDIDATES}"
+        assert report[:2] == (ValueError, message)
+        assert report == _outcome(listing_chain_check, sample_pair, budget)
+
+    def test_balance_budget_past_the_candidate_bound_refused(self, sample_pair):
+        e1, e2 = Equation((1, 2), (2, 2, 1), 3), sample_pair[1]
+        budget = EnumerationBudget((1, 2), 30)
+        report = _outcome(balance_theorem_check, e1, e2, budget)
+        message = f"the budget asks for 1000727379967 candidates, more than {MAX_CANDIDATES}"
+        assert report[:2] == (ValueError, message)
+        assert report == _outcome(listing_balance_check, e1, e2, budget)

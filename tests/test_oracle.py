@@ -12,7 +12,10 @@ from wordeq import (
     LengthType,
     Word,
     balance_profile,
+    balance_theorem_check,
+    chain_check,
     entire_system_sample,
+    graph_components,
     enumerate_solutions,
     independence_check,
     parse_word,
@@ -21,7 +24,7 @@ from wordeq import (
     rank_theorem_check,
     residual,
 )
-from wordeq.oracle import length_types_up_to, solutions_of_length_type
+from wordeq.oracle import length_types_up_to, position_classes, solutions_of_length_type
 
 from conftest import eq1, morphism
 
@@ -349,3 +352,63 @@ class TestLengthTypes:
         assert len(lts) == len(set(lts))
         assert len(lts) == math.comb(4 + 3, 3)
         assert all(sum(lt) <= 4 for lt in lts)
+
+
+class TestPositionClasses:
+    def test_commutation_joins_every_position(self):
+        assert position_classes([SWAP], (1, 1)) == (0, 0)
+        assert position_classes([SWAP], (1, 2)) == (0, 0, 0)
+        assert position_classes([SWAP], (2, 2)) == (0, 1, 0, 1)
+
+    def test_classes_numbered_by_first_position(self):
+        # x1 x2 x3 = x3 x1 x2 at (1, 1, 2): 1 2 | 3 4 against 3 4 | 1 2
+        assert position_classes([CYCLE], (1, 1, 2)) == (0, 1, 0, 1)
+        assert position_classes([], (2, 0, 1)) == (0, 1, 2)
+
+    def test_sides_of_different_length(self):
+        assert position_classes([SWAP, eq1("x x = y")], (1, 1)) is None
+        assert position_classes([eq1("x x = y")], (1, 2)) == (0, 0, 0)
+
+    def test_assignments_are_the_solutions_in_image_order(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            system = [
+                Equation(
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+                    n,
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            alphabet = rng.choice(((1,), (1, 2), (1, 2, 3)))
+            for lt in length_types_up_to(n, 5):
+                scanned = list(solutions_of_length_type(system, lt, alphabet))
+                classes = position_classes(system, lt)
+                if classes is None:
+                    assert scanned == []
+                    continue
+                cuts = list(itertools.accumulate(lt, initial=0))
+                listed = [
+                    tuple(tuple(a[c] for c in classes[i:j]) for i, j in zip(cuts, cuts[1:]))
+                    for a in itertools.product(alphabet, repeat=len(set(classes)))
+                ]
+                assert listed == scanned, (system, lt)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda system, budget: enumerate_solutions(system, budget),
+        lambda system, budget: independence_check(system, budget),
+        lambda system, budget: rank_theorem_check(system, (1, 1), []),
+        lambda system, budget: chain_check(system, budget),
+        lambda system, budget: balance_theorem_check(*system, budget),
+        lambda system, budget: graph_components(system),
+    ],
+    ids=["enumerate", "independence", "rank-theorem", "chain", "balance", "graph"],
+)
+def test_mixed_unknown_counts_refused(check):
+    system = [Equation((1, 2), (2, 1), 2), Equation((1, 2, 3), (3, 2, 1), 3)]
+    with pytest.raises(ValueError, match="equations disagree on the number of unknowns"):
+        check(system, EnumerationBudget((1, 2), 4))
