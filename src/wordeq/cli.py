@@ -33,6 +33,7 @@ from .errors import InputFormatError, TheoremCheckError
 from .genpoly import minor_t
 from .oracle import (
     EnumerationBudget,
+    SolutionSet,
     enumerate_solutions,
     independence_check,
     power_identity_check,
@@ -331,16 +332,18 @@ def _system_enumerate(args, out):
     eqs, _ = _load_system(args.systemfile, out)
     budget = _budget(args, out)
     lt = None if args.lengths is None else _parse_lengths(args.lengths, eqs[0].n)
-    sols = rank_annotate(enumerate_solutions(eqs, budget))
+    sols = enumerate_solutions(eqs, budget)
     if lt is not None:
         sols = sols.of_length_type(lt)
         out.inputs["lengths"] = args.lengths
+    sols = rank_annotate(sols)
     if args.rank is not None:
         sols = sols.of_rank(args.rank)
         out.inputs["rank"] = args.rank
     out.results["candidates_visited"] = sols.candidates_visited
     out.results["solution_count"] = len(sols.solutions)
-    out.results["solutions"] = sols.entries()
+    # the report writers render the entries from the set itself
+    out.results["solutions"] = sols
     if args.jsonl:
         out.results["jsonl"] = sols.to_json_lines()
 
@@ -425,17 +428,22 @@ def _human_lines(report: dict) -> list[str]:
         lines.append(f"  {key}: {value}")
     lines.append("results:")
 
+    def listing(prefix, texts):
+        """A list of entries as its size and the JSON texts of its first 20 entries."""
+        lines.append(f"{prefix}: [{len(texts)} entries]" if texts else f"{prefix}: []")
+        lines.extend(f"{prefix}  - {text}" for text in texts[:20])
+        if len(texts) > 20:
+            lines.append(f"{prefix}    ... {len(texts) - 20} more")
+
     def emit(prefix, value):
         if isinstance(value, dict):
             lines.append(f"{prefix}:")
             for k, v in value.items():
                 emit(f"{prefix}  {k}", v)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{prefix}: [{len(value)} entries]")
-            for v in value[:20]:
-                lines.append(f"{prefix}  - {json.dumps(v)}")
-            if len(value) > 20:
-                lines.append(f"{prefix}    ... {len(value) - 20} more")
+            listing(prefix, [json.dumps(v) for v in value])
+        elif isinstance(value, SolutionSet):
+            listing(prefix, value.entry_texts())
         else:
             lines.append(f"{prefix}: {value}")
 
@@ -513,6 +521,15 @@ def _json_text(value) -> str:
             parts[first] = breaks[inner]  # no comma before the first item
             append(breaks[depth])
             append("}" if is_dict else "]")
+        elif isinstance(value, SolutionSet):
+            # a list of solution entries, written as their texts at the entries' depth
+            if not value:
+                append("[]")
+                return
+            pad = "\n" + "  " * (depth + 1)
+            append("[" + pad)
+            append(("," + pad).join(value.entry_texts(depth + 1)))
+            append(breaks[depth] + "]")
         else:
             # any other number, or json's TypeError for what it cannot encode
             append(json.dumps(value))

@@ -10,9 +10,8 @@ its budget.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, gcd
 
 from .equations import Equation, coefficient_matrix, rank_polymatrix, unknown_count
 from .errors import TheoremCheckError
@@ -109,29 +108,41 @@ class SolutionSet:
             ranks=tuple(self.ranks[i] for i in indices) if self.ranks is not None else None,
         )
 
-    def entries(self) -> list[dict]:
-        """One report entry per solution: its images, length type and rank."""
-        texts = _Texts()
+    def entry_texts(self, depth: int | None = None) -> list[str]:
+        """The JSON text of each solution's report entry: images, length type and rank.
+
+        With no depth the text is what ``json.dumps`` writes for the entry;
+        at a depth it is what ``json.dumps(..., indent=2)`` writes for the
+        entry nested that deep.  Word texts hold only digits, commas,
+        brackets and "eps", so quoting needs no escapes.  Each distinct
+        word is quoted once, and the text after the images once per length
+        type and rank.
+        """
+        if depth is None:
+            sep, head, middle, tail, close = ", ", '{"images": [', '], "length_type": [', '], "rank": ', "}"
+        else:
+            outer = "\n" + "  " * depth
+            key = outer + "  "
+            sep = "," + key + "  "
+            head = "{" + key + '"images": [' + key + "  "
+            middle = key + "]," + key + '"length_type": [' + key + "  "
+            tail = key + "]," + key + '"rank": '
+            close = outer + "}"
+        quoted = {w: '"' + w.to_text() + '"' for w in {w for h in self.solutions for w in h}}
+        after = {}  # (length type, rank) -> the entry's text after its images
         ranks = self.ranks if self.ranks is not None else (None,) * len(self.solutions)
-        return [
-            {
-                "images": [texts[w] for w in h],
-                "length_type": [len(w) for w in h],
-                "rank": rank,
-            }
-            for h, rank in zip(self.solutions, ranks)
-        ]
+        texts = []
+        for h, rank in zip(self.solutions, ranks):
+            key = tuple(map(len, h)), rank
+            rest = after.get(key)
+            if rest is None:
+                rank_text = "null" if rank is None else str(rank)
+                rest = after[key] = middle + sep.join(map(str, key[0])) + tail + rank_text + close
+            texts.append(head + sep.join(map(quoted.__getitem__, h)) + rest)
+        return texts
 
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(entry) for entry in self.entries())
-
-
-class _Texts(dict):
-    """Word -> its text, rendered on first use."""
-
-    def __missing__(self, w):
-        text = self[w] = w.to_text()
-        return text
+        return "\n".join(self.entry_texts())
 
 
 class _WordPools(dict):
@@ -173,6 +184,24 @@ def solutions_of_length_type(system, lt, alphabet, pools=None):
             yield images
 
 
+def merge_classes(size: int, pairs) -> list[int]:
+    """Block of each of 0 .. size - 1 once every pair is joined, numbered by least member."""
+    parent = list(range(size))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for p, q in pairs:
+        p, q = find(p), find(q)
+        if p != q:
+            parent[max(p, q)] = min(p, q)
+    number = {}
+    return [number.setdefault(find(p), len(number)) for p in range(size)]
+
+
 def position_classes(system, lt):
     """Class of every letter position of the images x_1 ... x_n at one length type.
 
@@ -182,30 +211,40 @@ def position_classes(system, lt):
     assignments in lexicographic order are solutions in image order.  None
     when some equation's sides differ in length here.
     """
+    length = (0, *lt).__getitem__  # length(x): the image length of x_x
+    for eq in system:
+        if sum(map(length, eq.lhs)) != sum(map(length, eq.rhs)):
+            return None
     runs, end = [], 0
     for k in lt:
         runs.append(Word._trusted(range(end + 1, end + k + 1)))
         end += k
     # each unknown sent to its own run of position numbers 1, 2, ...
     places = Morphism._trusted(runs)
-    parent = list(range(end + 1))
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    pairs = []
     for eq in system:
-        left, right = places.apply(eq.lhs), places.apply(eq.rhs)
-        if len(left) != len(right):
-            return None
-        for p, q in zip(left, right):
-            p, q = find(p), find(q)
-            if p != q:
-                parent[max(p, q)] = min(p, q)
-    number = {}
-    return tuple(number.setdefault(find(p), len(number)) for p in range(1, end + 1))
+        pairs += zip(places.apply(eq.lhs), places.apply(eq.rhs))
+    # position number 0 stands alone as the first block, so position p's class is one less
+    return tuple(c - 1 for c in merge_classes(end + 1, pairs)[1:])
+
+
+def generic_solution(system, lt):
+    """The position classes at one length type and the generic solution g, or None.
+
+    g gives every position of class c the letter c + 1.  Each solution of
+    this length type, over any alphabet, is the image of g under the
+    letter-to-letter map sending c + 1 to the letter of class c; rank does
+    not grow under a morphism, so no solution's rank exceeds rank(g).  None
+    when some equation's sides differ in length here.
+    """
+    classes = position_classes(system, lt)
+    if classes is None:
+        return None
+    images, end = [], 0
+    for k in lt:
+        images.append(Word._trusted(c + 1 for c in classes[end:end + k]))
+        end += k
+    return classes, Morphism._trusted(images)
 
 
 def budget_candidates(n: int, budget: EnumerationBudget) -> int:
@@ -245,9 +284,43 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     )
 
 
+def _block_rank(system, lt):
+    """The combinatorial rank of a solution of the system at length type lt, as a function.
+
+    ``combinatorial_rank`` itself from generic rank 3 on, and where the
+    system has no solution of this length type to take g from.
+    """
+    generic = generic_solution(system, lt)
+    r = None if generic is None else combinatorial_rank(generic[1])
+    if r is not None and r <= 1:
+        return lambda h: r
+    if r == 2:
+        step = gcd(*lt)
+        return lambda h: 1 if (w := sum(h, ()))[step:] == w[:-step] else 2
+    return combinatorial_rank
+
+
 def rank_annotate(solset: SolutionSet) -> SolutionSet:
-    """Attach exact combinatorial ranks to a solution set."""
-    return replace(solset, ranks=tuple(combinatorial_rank(h) for h in solset.solutions))
+    """Attach exact combinatorial ranks to a solution set, ranking each length type once.
+
+    This relies on every solution solving ``solset.system``: then each
+    solution of a length type is a letter-to-letter image of that type's
+    generic solution g, and r = rank(g) bounds its rank.  When r <= 1
+    every solution there has rank r.  When r = 2 a solution has rank 1
+    exactly when its nonempty images are powers of one word
+    (Lyndon-Schützenberger), that is, when its concatenated images have
+    the gcd of the image lengths as a period, and rank 2 otherwise.  Only
+    r >= 3 ranks each solution on its own.
+    """
+    rankers = {}  # length type -> the rank of its solutions
+    ranks = []
+    for h in solset.solutions:
+        lt = tuple(map(len, h))
+        rank = rankers.get(lt)
+        if rank is None:
+            rank = rankers[lt] = _block_rank(solset.system, lt)
+        ranks.append(rank(h))
+    return replace(solset, ranks=tuple(ranks))
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):

@@ -53,9 +53,9 @@ class Word(tuple):
     def to_text(self) -> str:
         if not self:
             return "eps"
-        if all(a <= 9 for a in self):
-            return "".join(str(a) for a in self)
-        return "[" + ",".join(str(a) for a in self) + "]"
+        if max(self) <= 9:
+            return "".join(map(str, self))
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __str__(self):
         return self.to_text()

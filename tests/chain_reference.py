@@ -1,9 +1,11 @@
 """Slow reference chain and balance checks for the differential tests.
 
 Both list every solution of the first equation within the budget, rank
-each one and compare sets of morphisms, as chain_check and
-balance_theorem_check did before they counted maximal-rank solutions
-from position classes.
+each one with combinatorial_rank and compare sets of morphisms, as
+chain_check and balance_theorem_check did before they counted
+maximal-rank solutions from position classes.  They rank solution by
+solution, not by length type as rank_annotate does, so they stay
+independent of the generic-solution argument.
 """
 
 from wordeq import (
@@ -13,9 +15,9 @@ from wordeq import (
     TheoremCheckError,
     balance_profile,
     chain_bound,
+    combinatorial_rank,
     cover_pair,
     enumerate_solutions,
-    rank_annotate,
 )
 
 
@@ -25,8 +27,7 @@ def listing_balance_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
     profile = balance_profile(eq1)
     if not any(profile):
         return {"applicable": False, "reason": "first equation is balanced"}
-    sols = rank_annotate(enumerate_solutions([eq1], budget))
-    top = sols.of_rank(n - 1)
+    top = [h for h in enumerate_solutions([eq1], budget) if combinatorial_rank(h) == n - 1]
     common = [h for h in top if eq2.solved_by(h)]
     if not common:
         return {
@@ -43,7 +44,7 @@ def listing_balance_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
     return {
         "applicable": True,
         "budget": budget.describe(),
-        "rank_filtered": len(top.solutions),
+        "rank_filtered": len(top),
         "common": len(common),
         "inclusion_holds": True,
     }
@@ -58,9 +59,8 @@ def listing_chain_check(equations, budget: EnumerationBudget) -> dict:
     for eq in equations:
         if eq.is_trivial:
             raise ValueError("chains are made of nontrivial equations")
-    base = rank_annotate(enumerate_solutions([equations[0]], budget))
-    current = base.of_rank(n - 1)
-    sets = [set(current)]
+    base = enumerate_solutions([equations[0]], budget)
+    sets = [{h for h in base if combinatorial_rank(h) == n - 1}]
     strict = []
     for eq in equations[1:]:
         kept = {h for h in sets[-1] if eq.solved_by(h)}

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import wordeq.cli
-from wordeq import oracle, words
-from wordeq.cli import COMMANDS, _json_text, run
+from wordeq import EnumerationBudget, enumerate_solutions, oracle, rank_annotate, words
+from wordeq.cli import COMMANDS, _human_lines, _json_text, run
 from wordeq.polynomials import IntPolynomial
 from wordeq.words import _minimal_factor_cover
 
@@ -273,6 +273,88 @@ class TestJsonWriter:
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+def dict_entries(sols):
+    """The report entries of a solution set as dicts, the shape json.dumps is given."""
+    ranks = sols.ranks if sols.ranks is not None else [None] * len(sols)
+    return [
+        {"images": [w.to_text() for w in h], "length_type": [len(w) for w in h], "rank": r}
+        for h, r in zip(sols.solutions, ranks)
+    ]
+
+
+def solution_sets():
+    [cycle], _ = wordeq.cli.parse_system((ROOT / "recipes" / "inputs" / "cycle.txt").read_text())
+    plain = enumerate_solutions([cycle], EnumerationBudget((1, 2), 5))
+    ranked = rank_annotate(plain)
+    wide = enumerate_solutions([cycle], EnumerationBudget((1, 12), 4))
+    free = enumerate_solutions([], EnumerationBudget((3, 11), 3), n=2)
+    return {
+        "unranked": plain,
+        "ranked": ranked,
+        "rank-1": ranked.of_rank(1),
+        "lengths": ranked.of_length_type((1, 1, 2)),
+        "empty": ranked.of_rank(3),
+        "letters-past-9": rank_annotate(wide),
+        "no-equation": rank_annotate(free).nonerasing(),
+    }
+
+
+class TestSolutionEntries:
+    """The solution list, written from the set, against json.dumps of its dict entries."""
+
+    @pytest.mark.parametrize("name", sorted(solution_sets()))
+    def test_compact_texts(self, name):
+        sols = solution_sets()[name]
+        expected = [json.dumps(entry) for entry in dict_entries(sols)]
+        assert sols.entry_texts() == expected
+        assert sols.to_json_lines() == "\n".join(expected)
+
+    @pytest.mark.parametrize("name", sorted(solution_sets()))
+    def test_indented_report(self, name):
+        sols = solution_sets()[name]
+        entries = dict_entries(sols)
+        for wrap in (
+            lambda v: v,
+            lambda v: {"results": {"solution_count": 1, "solutions": v, "jsonl": ""}},
+            lambda v: [[{"a": [v, v]}], v],
+        ):
+            assert _json_text(wrap(sols)) == json.dumps(wrap(entries), indent=2)
+
+    @pytest.mark.parametrize("name", sorted(solution_sets()))
+    def test_human_lines(self, name):
+        sols = solution_sets()[name]
+        entries = dict_entries(sols)
+
+        def report(solutions):
+            return {"command": "system enumerate", "inputs": {}, "results": {"solutions": solutions},
+                    "checks": [], "elapsed_ms": 0}
+
+        lines = _human_lines(report(sols))
+        expected = [f"  solutions  - {json.dumps(entry)}" for entry in entries[:20]]
+        assert lines[3:3 + len(expected)] == expected
+        assert lines == _human_lines(report(entries))
+        if not entries:
+            assert lines[2] == "  solutions: []"
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--rank", "1"], ["--lengths", "1,1,2"], ["--rank", "2", "--lengths", "2,1,3"],
+        ["--rank", "3"], ["--alphabet", "1,12", "--max-total", "4"],
+    ], ids=["all", "rank", "lengths", "rank-and-lengths", "empty", "letters-past-9"])
+    def test_command_reports(self, extra):
+        argv = ["system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "6", "--jsonl"]
+        code, text, err = invoke(["--json", *argv, *extra])
+        assert code == 0, err
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
+        lines = report["results"]["jsonl"].splitlines()
+        assert lines == [json.dumps(entry) for entry in report["results"]["solutions"]]
+        code, text, err = invoke([*argv, *extra])
+        assert code == 0, err
+        # the human report of the same results, its elapsed time aside
+        expected = "\n".join(_human_lines(report)[:-1]) + "\nelapsed_ms: "
+        assert text[:text.rindex("elapsed_ms: ") + 12] == expected
 
 
 def test_closed_pipe_exits_without_traceback():

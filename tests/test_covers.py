@@ -359,11 +359,13 @@ class TestCountingMatchesListing:
         for module in (covers, chain_reference):
             monkeypatch.setattr(module, "balance_profile", lambda eq: (1,))
         e1, e3 = eq1("x1 x2 x3 = x3 x1 x2"), Equation((3,), (1, 2), 3)
-        for alphabet in ((1, 2), (1, 2, 3)):
+        # over one letter a length type holds one solution, so its escape is the only one there
+        swap, square = eq1("x y = y x"), eq1("x x = y")
+        for pair, alphabet in (((e1, e3), (1, 2)), ((e1, e3), (1, 2, 3)), ((swap, square), (1,))):
             budget = EnumerationBudget(alphabet, 5)
-            report = _outcome(balance_theorem_check, e1, e3, budget)
+            report = _outcome(balance_theorem_check, *pair, budget)
             assert report[0] is TheoremCheckError
-            assert report == _outcome(listing_balance_check, e1, e3, budget)
+            assert report == _outcome(listing_balance_check, *pair, budget)
 
     def test_chain_budget_past_the_candidate_bound_refused(self, sample_pair):
         budget = EnumerationBudget((1, 2), 30)

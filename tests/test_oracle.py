@@ -14,6 +14,7 @@ from wordeq import (
     balance_profile,
     balance_theorem_check,
     chain_check,
+    combinatorial_rank,
     entire_system_sample,
     graph_components,
     enumerate_solutions,
@@ -24,7 +25,8 @@ from wordeq import (
     rank_theorem_check,
     residual,
 )
-from wordeq.oracle import length_types_up_to, position_classes, solutions_of_length_type
+from wordeq.oracle import generic_solution, length_types_up_to, position_classes
+from wordeq.oracle import solutions_of_length_type
 
 from conftest import eq1, morphism
 
@@ -394,6 +396,70 @@ class TestPositionClasses:
                     for a in itertools.product(alphabet, repeat=len(set(classes)))
                 ]
                 assert listed == scanned, (system, lt)
+
+
+class TestGenericSolution:
+    def test_classes_and_their_letters(self):
+        classes, g = generic_solution([CYCLE], (1, 1, 2))
+        assert classes == (0, 1, 0, 1)
+        assert g == morphism((1,), (2,), (1, 2))
+        assert generic_solution([SWAP, eq1("x x = y")], (1, 1)) is None
+
+    def test_solutions_are_letter_images_of_g(self):
+        # every solution of a length type maps each letter c + 1 of g to one letter
+        out = enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 6))
+        for h in out:
+            _, g = generic_solution([CYCLE], h.length_type())
+            letter = {}
+            for w, v in zip(g, h):
+                for c, a in zip(w, v):
+                    assert letter.setdefault(c, a) == a
+
+
+def _random_equation(rng, n):
+    return Equation(
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+        n,
+    )
+
+
+class TestBlockRanks:
+    """rank_annotate, one generic rank per length type, against per-solution ranks."""
+
+    def test_matches_combinatorial_rank_per_solution(self):
+        rng = random.Random(1409)
+        # largest max-total per alphabet size, one less at four unknowns
+        tops = {1: 8, 2: 6, 3: 5}
+        seen = set()
+        for trial in range(300):
+            n = rng.randint(1, 4)
+            alphabet = rng.choice(((1,), (1, 2), (1, 2, 3), (1, 12)))
+            top = tops[len(alphabet)] - (n == 4)
+            budget = EnumerationBudget(alphabet, rng.randint(2, top))
+            # every tenth system is empty, with an explicit unknown count
+            system = [] if trial % 10 == 0 else [
+                _random_equation(rng, n) for _ in range(rng.randint(1, 2))
+            ]
+            sols = enumerate_solutions(system, budget, n=n)
+            views = [sols, sols.nonerasing()]
+            if sols:
+                views.append(sols.of_length_type(rng.choice(sols.solutions).length_type()))
+            for view in views:
+                ranked = rank_annotate(view)
+                assert ranked.solutions == view.solutions
+                assert ranked.ranks == tuple(combinatorial_rank(h) for h in view), system
+                seen.update(ranked.ranks)
+        assert seen == {0, 1, 2, 3}
+
+    def test_rank_one_solutions_of_a_rank_two_type(self):
+        # no equation on two unknowns: the generic solutions (1, 2) at (1, 1) and
+        # (12, 34) at (2, 2) have rank 2, and (12, eps) at (2, 0) has rank 1
+        out = rank_annotate(enumerate_solutions([], EnumerationBudget((1, 2), 4), n=2))
+        ranks = dict(zip((tuple(map(Word.to_text, h)) for h in out), out.ranks))
+        assert ranks[("1", "1")] == ranks[("12", "12")] == ranks[("11", "eps")] == 1
+        assert ranks[("1", "2")] == ranks[("12", "21")] == ranks[("11", "12")] == 2
+        assert ranks[("eps", "eps")] == 0
 
 
 @pytest.mark.parametrize(
