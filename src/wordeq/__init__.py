@@ -45,7 +45,6 @@ from .oracle import (
     enumerate_solutions,
     independence_check,
     power_identity_check,
-    rank_annotate,
     rank_theorem_check,
 )
 from .polynomials import (

@@ -37,7 +37,6 @@ from .oracle import (
     enumerate_solutions,
     independence_check,
     power_identity_check,
-    rank_annotate,
 )
 from .polynomials import encode_poly, encode_ratfun, fine_wilf_check
 from .transforms import factorize_solution
@@ -336,7 +335,6 @@ def _system_enumerate(args, out):
     if lt is not None:
         sols = sols.of_length_type(lt)
         out.inputs["lengths"] = args.lengths
-    sols = rank_annotate(sols)
     if args.rank is not None:
         sols = sols.of_rank(args.rank)
         out.inputs["rank"] = args.rank
@@ -428,12 +426,12 @@ def _human_lines(report: dict) -> list[str]:
         lines.append(f"  {key}: {value}")
     lines.append("results:")
 
-    def listing(prefix, texts):
-        """A list of entries as its size and the JSON texts of its first 20 entries."""
-        lines.append(f"{prefix}: [{len(texts)} entries]" if texts else f"{prefix}: []")
-        lines.extend(f"{prefix}  - {text}" for text in texts[:20])
-        if len(texts) > 20:
-            lines.append(f"{prefix}    ... {len(texts) - 20} more")
+    def listing(prefix, size, texts):
+        """A list of ``size`` entries as its size and ``texts``, the JSON texts of its first 20."""
+        lines.append(f"{prefix}: [{size} entries]" if size else f"{prefix}: []")
+        lines.extend(f"{prefix}  - {text}" for text in texts)
+        if size > 20:
+            lines.append(f"{prefix}    ... {size - 20} more")
 
     def emit(prefix, value):
         if isinstance(value, dict):
@@ -441,9 +439,9 @@ def _human_lines(report: dict) -> list[str]:
             for k, v in value.items():
                 emit(f"{prefix}  {k}", v)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            listing(prefix, [json.dumps(v) for v in value])
+            listing(prefix, len(value), [json.dumps(v) for v in value[:20]])
         elif isinstance(value, SolutionSet):
-            listing(prefix, value.entry_texts())
+            listing(prefix, len(value), value.entry_texts(stop=20))
         else:
             lines.append(f"{prefix}: {value}")
 

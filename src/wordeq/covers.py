@@ -397,21 +397,9 @@ def graph_components(system, n: int | None = None) -> int:
         n = unknown_count(system)
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eq in system:
-        if not eq.lhs or not eq.rhs:
-            raise ValueError("equations with an empty side have no leading unknowns")
-        a, b = find(eq.lhs[0]), find(eq.rhs[0])
-        if a != b:
-            parent[a] = b
-    return len({find(x) for x in range(1, n + 1)})
+    if not all(eq.lhs and eq.rhs for eq in system):
+        raise ValueError("equations with an empty side have no leading unknowns")
+    return len(set(merge_classes(n, [(eq.lhs[0] - 1, eq.rhs[0] - 1) for eq in system])))
 
 
 def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
@@ -420,8 +408,7 @@ def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
     r = graph_components(system)
     sols = enumerate_solutions(system, budget).nonerasing()
     worst = 0
-    for h in sols:
-        rank = combinatorial_rank(h)
+    for h, rank in zip(sols, sols.ranks):
         worst = max(worst, rank)
         if rank > r:
             raise TheoremCheckError(

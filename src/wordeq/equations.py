@@ -295,6 +295,9 @@ def parse_system(text: str):
             names = line[len("unknowns:") :].split()
             if not names:
                 raise InputFormatError(f"line {lineno}: empty unknown declaration")
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise InputFormatError(f"line {lineno}: unknown {name!r} declared twice")
             continue
         if "=" not in line:
             raise InputFormatError(f"line {lineno}: missing '=' in equation {raw!r}")

@@ -78,7 +78,7 @@ class SolutionSet:
     budget: EnumerationBudget
     solutions: tuple[Morphism, ...]
     candidates_visited: int
-    ranks: tuple[int, ...] | None = None
+    ranks: tuple[int, ...]
 
     def __len__(self):
         return len(self.solutions)
@@ -92,10 +92,8 @@ class SolutionSet:
         return self._filtered(keep)
 
     def of_rank(self, r: int) -> "SolutionSet":
-        """Solutions of exact combinatorial rank r (annotating on demand)."""
-        annotated = self if self.ranks is not None else rank_annotate(self)
-        keep = [i for i, rk in enumerate(annotated.ranks) if rk == r]
-        return annotated._filtered(keep)
+        """Solutions of exact combinatorial rank r."""
+        return self._filtered([i for i, rk in enumerate(self.ranks) if rk == r])
 
     def nonerasing(self) -> "SolutionSet":
         keep = [i for i, h in enumerate(self.solutions) if h.is_nonerasing]
@@ -105,10 +103,10 @@ class SolutionSet:
         return replace(
             self,
             solutions=tuple(self.solutions[i] for i in indices),
-            ranks=tuple(self.ranks[i] for i in indices) if self.ranks is not None else None,
+            ranks=tuple(self.ranks[i] for i in indices),
         )
 
-    def entry_texts(self, depth: int | None = None) -> list[str]:
+    def entry_texts(self, depth: int | None = None, stop: int | None = None) -> list[str]:
         """The JSON text of each solution's report entry: images, length type and rank.
 
         With no depth the text is what ``json.dumps`` writes for the entry;
@@ -116,7 +114,8 @@ class SolutionSet:
         entry nested that deep.  Word texts hold only digits, commas,
         brackets and "eps", so quoting needs no escapes.  Each distinct
         word is quoted once, and the text after the images once per length
-        type and rank.
+        type and rank.  Given ``stop``, only the first ``stop`` solutions
+        are written.
         """
         if depth is None:
             sep, head, middle, tail, close = ", ", '{"images": [', '], "length_type": [', '], "rank": ', "}"
@@ -128,16 +127,15 @@ class SolutionSet:
             middle = key + "]," + key + '"length_type": [' + key + "  "
             tail = key + "]," + key + '"rank": '
             close = outer + "}"
-        quoted = {w: '"' + w.to_text() + '"' for w in {w for h in self.solutions for w in h}}
+        solutions = self.solutions[:stop]
+        quoted = {w: '"' + w.to_text() + '"' for w in {w for h in solutions for w in h}}
         after = {}  # (length type, rank) -> the entry's text after its images
-        ranks = self.ranks if self.ranks is not None else (None,) * len(self.solutions)
         texts = []
-        for h, rank in zip(self.solutions, ranks):
+        for h, rank in zip(solutions, self.ranks):
             key = tuple(map(len, h)), rank
             rest = after.get(key)
             if rest is None:
-                rank_text = "null" if rank is None else str(rank)
-                rest = after[key] = middle + sep.join(map(str, key[0])) + tail + rank_text + close
+                rest = after[key] = middle + sep.join(map(str, key[0])) + tail + str(rank) + close
             texts.append(head + sep.join(map(quoted.__getitem__, h)) + rest)
         return texts
 
@@ -258,7 +256,7 @@ def budget_candidates(n: int, budget: EnumerationBudget) -> int:
 
 
 def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None) -> SolutionSet:
-    """All morphisms within the budget solving every equation of the system.
+    """All morphisms within the budget solving every equation of the system, with their ranks.
 
     An empty system needs an explicit unknown count and is solved by
     every morphism.  Every length type counts its full candidate set as
@@ -271,56 +269,40 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
     visited = budget_candidates(n, budget)
-    found = {}
     pools = _WordPools(budget.alphabet)
-    for lt in length_types_up_to(n, budget.max_total_length):
-        found[lt] = list(solutions_of_length_type(system, lt, budget.alphabet, pools))
-    # the budget's alphabet is sorted, so each block is in image order and
-    # ordering the blocks by length type sorts all solutions
     trusted = Morphism._trusted
-    solutions = tuple(trusted(images) for lt in sorted(found) for images in found[lt])
+    solutions, ranks = [], []
+    # the budget's alphabet is sorted, so each block is in image order and
+    # walking the length types in order sorts all solutions
+    for lt in sorted(length_types_up_to(n, budget.max_total_length)):
+        block = list(map(trusted, solutions_of_length_type(system, lt, budget.alphabet, pools)))
+        if block:
+            solutions += block
+            ranks += map(_block_rank(system, lt), block)
     return SolutionSet(
-        system=system, n=n, budget=budget, solutions=solutions, candidates_visited=visited
+        system=system, n=n, budget=budget, solutions=tuple(solutions),
+        candidates_visited=visited, ranks=tuple(ranks),
     )
 
 
 def _block_rank(system, lt):
     """The combinatorial rank of a solution of the system at length type lt, as a function.
 
-    ``combinatorial_rank`` itself from generic rank 3 on, and where the
-    system has no solution of this length type to take g from.
+    lt must hold a solution.  Each solution there is a letter-to-letter
+    image of the type's generic solution g, and r = rank(g) bounds its
+    rank.  When r <= 1 every solution there has rank r.  When r = 2 a
+    solution has rank 1 exactly when its nonempty images are powers of
+    one word (Lyndon-Schützenberger), that is, when its concatenated
+    images have the gcd of the image lengths as a period, and rank 2
+    otherwise.  From r = 3 on it is ``combinatorial_rank`` itself.
     """
-    generic = generic_solution(system, lt)
-    r = None if generic is None else combinatorial_rank(generic[1])
-    if r is not None and r <= 1:
+    r = combinatorial_rank(generic_solution(system, lt)[1])
+    if r <= 1:
         return lambda h: r
     if r == 2:
         step = gcd(*lt)
         return lambda h: 1 if (w := sum(h, ()))[step:] == w[:-step] else 2
     return combinatorial_rank
-
-
-def rank_annotate(solset: SolutionSet) -> SolutionSet:
-    """Attach exact combinatorial ranks to a solution set, ranking each length type once.
-
-    This relies on every solution solving ``solset.system``: then each
-    solution of a length type is a letter-to-letter image of that type's
-    generic solution g, and r = rank(g) bounds its rank.  When r <= 1
-    every solution there has rank r.  When r = 2 a solution has rank 1
-    exactly when its nonempty images are powers of one word
-    (Lyndon-Schützenberger), that is, when its concatenated images have
-    the gcd of the image lengths as a period, and rank 2 otherwise.  Only
-    r >= 3 ranks each solution on its own.
-    """
-    rankers = {}  # length type -> the rank of its solutions
-    ranks = []
-    for h in solset.solutions:
-        lt = tuple(map(len, h))
-        rank = rankers.get(lt)
-        if rank is None:
-            rank = rankers[lt] = _block_rank(solset.system, lt)
-        ranks.append(rank(h))
-    return replace(solset, ranks=tuple(ranks))
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):

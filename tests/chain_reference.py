@@ -4,7 +4,7 @@ Both list every solution of the first equation within the budget, rank
 each one with combinatorial_rank and compare sets of morphisms, as
 chain_check and balance_theorem_check did before they counted
 maximal-rank solutions from position classes.  They rank solution by
-solution, not by length type as rank_annotate does, so they stay
+solution, not by length type as enumerate_solutions does, so they stay
 independent of the generic-solution argument.
 """
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wordeq.cli
-from wordeq import EnumerationBudget, enumerate_solutions, oracle, rank_annotate, words
+from wordeq import EnumerationBudget, enumerate_solutions, oracle, words
 from wordeq.cli import COMMANDS, _human_lines, _json_text, run
 from wordeq.polynomials import IntPolynomial
 from wordeq.words import _minimal_factor_cover
@@ -151,6 +151,14 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    def test_repeated_unknown_name(self, tmp_path):
+        f = tmp_path / "repeated.txt"
+        f.write_text("unknowns: x x y\nx y = y x\n")
+        code, out, err = invoke(["system", "enumerate", str(f), "--max-total", "2"])
+        assert code == 1
+        assert out == ""
+        assert "line 1: unknown 'x' declared twice" in err
+
     def test_enumerate_lengths_of_the_wrong_size(self):
         # the same check and message as eq coeffs and eq rank
         for argv in (
@@ -277,27 +285,24 @@ class TestJsonWriter:
 
 def dict_entries(sols):
     """The report entries of a solution set as dicts, the shape json.dumps is given."""
-    ranks = sols.ranks if sols.ranks is not None else [None] * len(sols)
     return [
         {"images": [w.to_text() for w in h], "length_type": [len(w) for w in h], "rank": r}
-        for h, r in zip(sols.solutions, ranks)
+        for h, r in zip(sols.solutions, sols.ranks)
     ]
 
 
 def solution_sets():
     [cycle], _ = wordeq.cli.parse_system((ROOT / "recipes" / "inputs" / "cycle.txt").read_text())
-    plain = enumerate_solutions([cycle], EnumerationBudget((1, 2), 5))
-    ranked = rank_annotate(plain)
+    ranked = enumerate_solutions([cycle], EnumerationBudget((1, 2), 5))
     wide = enumerate_solutions([cycle], EnumerationBudget((1, 12), 4))
     free = enumerate_solutions([], EnumerationBudget((3, 11), 3), n=2)
     return {
-        "unranked": plain,
         "ranked": ranked,
         "rank-1": ranked.of_rank(1),
         "lengths": ranked.of_length_type((1, 1, 2)),
         "empty": ranked.of_rank(3),
-        "letters-past-9": rank_annotate(wide),
-        "no-equation": rank_annotate(free).nonerasing(),
+        "letters-past-9": wide,
+        "no-equation": free.nonerasing(),
     }
 
 
@@ -337,6 +342,20 @@ class TestSolutionEntries:
         assert lines == _human_lines(report(entries))
         if not entries:
             assert lines[2] == "  solutions: []"
+
+    def test_human_lines_write_only_the_listed_entries(self, monkeypatch):
+        [cycle], _ = wordeq.cli.parse_system((ROOT / "recipes" / "inputs" / "cycle.txt").read_text())
+        sols = enumerate_solutions([cycle], EnumerationBudget((1, 2), 8))
+        listed = {w for h in sols.solutions[:20] for w in h}
+        assert len({w for h in sols for w in h}) > 10 * len(listed)
+        written = []
+        to_text = words.Word.to_text
+        monkeypatch.setattr(words.Word, "to_text", lambda w: written.append(w) or to_text(w))
+        lines = _human_lines({"command": "system enumerate", "inputs": {},
+                              "results": {"solutions": sols}, "checks": [], "elapsed_ms": 0})
+        assert lines[-2] == f"  solutions    ... {len(sols) - 20} more"
+        # each word of the 20 listed entries is written once, and no other word
+        assert sorted(written) == sorted(listed)
 
     @pytest.mark.parametrize("extra", [
         [], ["--rank", "1"], ["--lengths", "1,1,2"], ["--rank", "2", "--lengths", "2,1,3"],

@@ -22,7 +22,6 @@ from wordeq import (
     graph_lemma_check,
     is_periodic,
     pair_form_check,
-    rank_annotate,
 )
 from wordeq.errors import TheoremCheckError
 from wordeq.oracle import MAX_CANDIDATES
@@ -109,9 +108,7 @@ class TestCoverSoundness:
     def test_sample_pair_solutions_are_covered(self, sample_pair):
         e1, e2 = sample_pair
         cover = cover_pair(e1, e2)
-        sols = rank_annotate(
-            enumerate_solutions([e1, e2], EnumerationBudget((1, 2), 8))
-        ).of_rank(2)
+        sols = enumerate_solutions([e1, e2], EnumerationBudget((1, 2), 8)).of_rank(2)
         report = cover_soundness_check(e1, e2, cover, list(sols))
         assert report["covered"]
         assert report["solutions_checked"] == len(sols.solutions)
@@ -162,7 +159,7 @@ class TestCoverSoundness:
                 full = cover_pair(e1, e2, kl=(minimal.k, minimal.l), full_pairing=True)
             except CoverError:
                 continue
-            top = rank_annotate(enumerate_solutions([e1, e2], budget)).of_rank(n - 1)
+            top = enumerate_solutions([e1, e2], budget).of_rank(n - 1)
             if not top.solutions:
                 continue
             exercised += 1

@@ -363,6 +363,11 @@ class TestParsing:
         with pytest.raises(InputFormatError, match="line 2"):
             parse_system("x y = y x\nx y y x")
 
+    def test_repeated_unknown_name_rejected(self):
+        # the repeat would add a phantom unknown that no equation can reach
+        with pytest.raises(InputFormatError, match="line 2: unknown 'x' declared twice"):
+            parse_system("# two unknowns\nunknowns: x y x\nx y = y x")
+
     def test_single_equation_helper(self):
         eq, names = parse_equation("x y = y x")
         assert eq.n == 2

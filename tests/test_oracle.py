@@ -21,7 +21,6 @@ from wordeq import (
     independence_check,
     parse_word,
     power_identity_check,
-    rank_annotate,
     rank_theorem_check,
     residual,
 )
@@ -131,7 +130,7 @@ class TestFiltering:
         assert len(sliced) > 0
 
     def test_rank_annotation(self):
-        out = rank_annotate(enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 4)))
+        out = enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 4))
         for h, r in zip(out.solutions, out.ranks):
             if not any(h):
                 assert r == 0
@@ -145,7 +144,7 @@ class TestFiltering:
         assert all(r == 2 for r in rank2.ranks)
 
     def test_json_lines_export(self):
-        out = rank_annotate(enumerate_solutions([SWAP], EnumerationBudget((1, 2), 2)))
+        out = enumerate_solutions([SWAP], EnumerationBudget((1, 2), 2))
         lines = out.to_json_lines().splitlines()
         assert len(lines) == len(out)
         parsed = [json.loads(line) for line in lines]
@@ -425,7 +424,7 @@ def _random_equation(rng, n):
 
 
 class TestBlockRanks:
-    """rank_annotate, one generic rank per length type, against per-solution ranks."""
+    """enumerate_solutions' ranks, one generic rank per length type, against per-solution ranks."""
 
     def test_matches_combinatorial_rank_per_solution(self):
         rng = random.Random(1409)
@@ -446,16 +445,14 @@ class TestBlockRanks:
             if sols:
                 views.append(sols.of_length_type(rng.choice(sols.solutions).length_type()))
             for view in views:
-                ranked = rank_annotate(view)
-                assert ranked.solutions == view.solutions
-                assert ranked.ranks == tuple(combinatorial_rank(h) for h in view), system
-                seen.update(ranked.ranks)
+                assert view.ranks == tuple(combinatorial_rank(h) for h in view), system
+                seen.update(view.ranks)
         assert seen == {0, 1, 2, 3}
 
     def test_rank_one_solutions_of_a_rank_two_type(self):
         # no equation on two unknowns: the generic solutions (1, 2) at (1, 1) and
         # (12, 34) at (2, 2) have rank 2, and (12, eps) at (2, 0) has rank 1
-        out = rank_annotate(enumerate_solutions([], EnumerationBudget((1, 2), 4), n=2))
+        out = enumerate_solutions([], EnumerationBudget((1, 2), 4), n=2)
         ranks = dict(zip((tuple(map(Word.to_text, h)) for h in out), out.ranks))
         assert ranks[("1", "1")] == ranks[("12", "12")] == ranks[("11", "eps")] == 1
         assert ranks[("1", "2")] == ranks[("12", "21")] == ranks[("11", "12")] == 2
