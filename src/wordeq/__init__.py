@@ -20,10 +20,8 @@ from .equations import (
     PolyMatrix,
     coefficient_matrix,
     coefficient_row,
-    parse_equation,
     parse_system,
     q_polynomial,
-    rank_by_evaluation,
     rank_polymatrix,
     rational_matrix_rank,
     residual,
@@ -55,7 +53,6 @@ from .polynomials import (
     encode_ratfun,
     fine_wilf_check,
     parse_polynomial,
-    poly_concat_identity,
     primdiv_check,
 )
 from .transforms import (
@@ -64,7 +61,6 @@ from .transforms import (
     SolutionFactorization,
     abelian_matrix,
     factorize_solution,
-    parse_factorization,
     position_matrix,
     verify_composition_identities,
 )
@@ -75,7 +71,6 @@ from .words import (
     combinatorial_rank,
     commute_check,
     is_periodic,
-    morphism_to_text,
     parse_morphism,
     parse_word,
     primitive_root,

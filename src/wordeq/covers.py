@@ -16,8 +16,8 @@ from math import gcd
 from .equations import Equation, unknown_count
 from .errors import TheoremCheckError
 from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms
-from .oracle import EnumerationBudget, budget_candidates, enumerate_solutions, generic_solution
-from .oracle import length_types_up_to, merge_classes, position_classes
+from .oracle import EnumerationBudget, budget_candidates, enumerate_solutions
+from .oracle import length_type_record, length_types_up_to, merge_classes
 from .words import Morphism, Word, combinatorial_rank, commute_check
 
 
@@ -255,23 +255,6 @@ def balance_profile(eq: Equation) -> tuple[int, ...]:
     return tuple(eq.lhs.count(x) - eq.rhs.count(x) for x in range(1, eq.n + 1))
 
 
-def _top_rank_assignments(alphabet, count: int, runs, r: int, period):
-    """Letter assignments of the count classes whose solution has rank r, in image order.
-
-    ``runs`` holds each unknown's classes and r is the generic rank of the
-    length type; with r = 2 the rank is 1 exactly on the assignments that
-    agree on every pair of ``period``.
-    """
-    for a in itertools.product(alphabet, repeat=count):
-        if r == 2:
-            if all(a[c] == a[e] for c, e in period):
-                continue
-        elif r > 2:
-            if combinatorial_rank([tuple([a[c] for c in run]) for run in runs]) != r:
-                continue
-        yield a
-
-
 def _equations_passed(a, links) -> int:
     """How many later equations, in order, the assignment solves before one fails."""
     passed = 0
@@ -287,19 +270,13 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
 
     The counts are of those solving the first 1, 2, ... equations.  Given
     ``escape``, the escape is the images of the first of them, by length
-    type and then images, that fails the second equation, or None.  At one
-    length type the solutions are the letter assignments of the position
-    classes, images of the generic solution g under letter-to-letter maps,
-    so no rank exceeds r = rank(g), and only types with r = n - 1 count.
-    When r <= 1 every solution there has rank r; when r = 2 a solution has
-    rank 1 exactly when its nonempty images commute
-    (Lyndon-Schützenberger), that is, are powers of one word, that is,
-    when the assignment agrees on the class pairs (p, p + d), d the gcd of
-    the image lengths.  The assignments agreeing on a set of class pairs
-    number |A|^c, c the class blocks once those pairs are joined, so below
-    r = 3 the counts come in closed form, and one walk over the
-    assignments finds the first escape.  From r = 3 on, a walk ranks every
-    assignment.  A budget past MAX_CANDIDATES is refused before any work.
+    type and then images, that fails the second equation, or None.  Only
+    types whose generic rank r is n - 1 count (``oracle.LengthTypeRecord``).
+    The assignments agreeing on a set of class pairs number |A|^c, c the
+    class blocks once those pairs are joined, so below r = 3 the counts
+    come in closed form, and a walk over the assignments only finds the
+    first escape; from r = 3 on, the walk ranks every assignment.  A budget
+    past MAX_CANDIDATES is refused before any work.
     """
     first, later = equations[0], equations[1:]
     budget_candidates(first.n, budget)
@@ -309,51 +286,46 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
     passing = [0] * len(equations)  # walked solutions passing exactly j later equations
     found = None
     for lt in sorted(length_types_up_to(first.n, budget.max_total_length)):
-        generic = generic_solution((first,), lt)
-        if generic is None:
+        record = length_type_record((first,), lt)
+        # no solution here has a rank above r, and r <= n - 1 since the first
+        # equation is nontrivial (defect theorem)
+        if record is None or record.generic_rank != top:
             continue
-        classes, g = generic
-        r = combinatorial_rank(g)
-        # no solution here has a rank above r, and r <= n - 1 since the
-        # first equation is nontrivial (defect theorem)
-        if r != top:
-            continue
-        count = len(set(classes))
-        runs = [[c - 1 for c in w] for w in g]
+        classes, count = record.classes, record.count
         links = []
         for eq in later:
             # eq holds when each of its classes gets the letter of its first position
-            own, lead = position_classes((eq,), lt), {}
+            own, lead = length_type_record((eq,), lt), {}
             links.append(None if own is None else [
-                (classes[lead.setdefault(c, p)], classes[p]) for p, c in enumerate(own)
+                (classes[lead.setdefault(c, p)], classes[p]) for p, c in enumerate(own.classes)
             ])
-        # the nonempty images are powers of one word exactly when their
-        # concatenation has the gcd of their lengths as a period
-        step = gcd(*lt)
-        period = [(classes[p], classes[p + step]) for p in range(len(classes) - step)]
-        assignments = _top_rank_assignments(budget.alphabet, count, runs, r, period)
-        if r > 2:
-            for a in assignments:
-                passed = _equations_passed(a, links)
+        if top < 3:
+            here, joined = [], []
+            for pairs in [[]] + links:
+                if pairs is None:
+                    break
+                joined += pairs
+                solving = size ** len(set(merge_classes(count, joined)))
+                # at r = 2, the assignments agreeing on the period pairs give rank 1
+                ones = top == 2 and size ** len(set(merge_classes(count, [*joined, *record.period])))
+                here.append(solving - ones)
+            for j, solving in enumerate(here):
+                sizes[j] += solving
+            # the first escape of the budget lies here when a counted solution fails the second equation
+            if not (escape and found is None and here[0] > sum(here[1:2])):
+                continue
+        rank = record.solution_rank
+        for a in itertools.product(budget.alphabet, repeat=count):
+            images = [tuple([a[c] for c in run]) for run in record.runs]
+            if rank(images) != top:
+                continue
+            passed = _equations_passed(a, links)
+            if top > 2:
                 passing[passed] += 1
-                if escape and found is None and not passed:
-                    found = [Word._trusted(a[c] for c in run) for run in runs]
-            continue
-        here, joined = [], []
-        for pairs in [[]] + links:
-            if pairs is None:
-                break
-            joined += pairs
-            solving = size ** len(set(merge_classes(count, joined)))
-            # at r = 2, the assignments agreeing on the period pairs give rank 1
-            ones = size ** len(set(merge_classes(count, joined + period))) if r == 2 else 0
-            here.append(solving - ones)
-        for j, solving in enumerate(here):
-            sizes[j] += solving
-        # the first escape of the budget lies here when a counted solution fails the second equation
-        if escape and found is None and here[0] > sum(here[1:2]):
-            a = next(a for a in assignments if not _equations_passed(a, links))
-            found = [Word._trusted(a[c] for c in run) for run in runs]
+            if escape and found is None and not passed:
+                found = list(map(Word._trusted, images))
+                if top < 3:
+                    break
     walked = itertools.accumulate(reversed(passing))
     return [a + b for a, b in zip(sizes, list(walked)[::-1])], found
 

@@ -248,16 +248,6 @@ def rational_matrix_rank(rows) -> int:
     return _integer_rank(scaled)
 
 
-def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
-    """Rank of the matrix after substituting an integer for X.
-
-    Always at most the rank over Q(X), with equality at every point that
-    is no root of a nonzero minor; rank_polymatrix evaluates at a point
-    certified to be one, and tests compare it against random points.
-    """
-    return rational_matrix_rank(matrix.evaluate(point))
-
-
 # --- text formats ---------------------------------------------------------
 
 _INDEXED = re.compile(r"x(\d+)")
@@ -292,12 +282,17 @@ def parse_system(text: str):
         if line.startswith("unknowns:"):
             if raw_eqs:
                 raise InputFormatError(f"line {lineno}: unknown declaration after equations")
+            if names is not None:
+                raise InputFormatError(f"line {lineno}: second unknown declaration")
             names = line[len("unknowns:") :].split()
             if not names:
                 raise InputFormatError(f"line {lineno}: empty unknown declaration")
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise InputFormatError(f"line {lineno}: unknown {name!r} declared twice")
+            if "eps" in names:
+                # eps is the empty side, so it cannot also name an unknown
+                raise InputFormatError(f"line {lineno}: 'eps' cannot name an unknown")
             continue
         if "=" not in line:
             raise InputFormatError(f"line {lineno}: missing '=' in equation {raw!r}")
@@ -338,11 +333,3 @@ def parse_system(text: str):
             raise InputFormatError(f"line {lineno}: unknown index exceeds declared count")
         equations.append(Equation(lhs, rhs, n))
     return equations, names
-
-
-def parse_equation(text: str):
-    """Parse a single equation; returns (equation, names)."""
-    eqs, names = parse_system(text)
-    if len(eqs) != 1:
-        raise InputFormatError(f"expected one equation, found {len(eqs)}")
-    return eqs[0], names

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb, gcd
 
 from .equations import Equation, coefficient_matrix, rank_polymatrix, unknown_count
@@ -200,49 +201,78 @@ def merge_classes(size: int, pairs) -> list[int]:
     return [number.setdefault(find(p), len(number)) for p in range(size)]
 
 
-def position_classes(system, lt):
-    """Class of every letter position of the images x_1 ... x_n at one length type.
+@dataclass(frozen=True)
+class LengthTypeRecord:
+    """A system at one length type: the classes of its image positions.
 
     A constant-free equation holds exactly when the letters its two sides
-    align are equal, so the solutions of this length type are the letter
-    assignments of the classes.  Classes are numbered by first position, so
-    assignments in lexicographic order are solutions in image order.  None
-    when some equation's sides differ in length here.
+    align are equal, so the solutions at this length type are the letter
+    assignments of the classes.  Classes are numbered by first position,
+    so assignments in lexicographic order are solutions in image order.
+    Each solution, over any alphabet, is the image of the generic solution
+    g, which gives class c the letter c + 1, under a letter-to-letter map;
+    rank does not grow under a morphism, so no solution's rank exceeds
+    r = rank(g).
     """
+
+    classes: tuple[int, ...]  # class of every position of the images x_1 ... x_n
+    count: int
+    runs: tuple[tuple[int, ...], ...]  # each unknown's classes: g, letters less one
+    step: int  # the gcd of the image lengths
+
+    @cached_property
+    def generic_rank(self) -> int:
+        """r = rank(g), read from the runs: renaming letters keeps the rank."""
+        return combinatorial_rank(self.runs)
+
+    @cached_property
+    def period(self) -> tuple[tuple[int, int], ...]:
+        """The class pairs of positions ``step`` apart."""
+        c = self.classes
+        return tuple((c[p], c[p + self.step]) for p in range(len(c) - self.step))
+
+    @cached_property
+    def solution_rank(self):
+        """A solution's combinatorial rank here, as a function of its images.
+
+        r when r <= 1.  At r = 2, 1 exactly when the nonempty images are
+        powers of one word (Lyndon-Schützenberger), that is, when their
+        concatenation has period ``step``, or the assignment agrees on
+        every pair of ``period``, and 2 otherwise.  From r = 3 on,
+        ``combinatorial_rank`` itself.
+        """
+        r = self.generic_rank
+        if r <= 1:
+            return lambda h: r
+        if r == 2:
+            step = self.step
+            return lambda h: 1 if (w := sum(h, ()))[step:] == w[:-step] else 2
+        return combinatorial_rank
+
+
+def length_type_record(system, lt) -> LengthTypeRecord | None:
+    """The system's record at length type lt; None when some equation's sides differ in length there."""
     length = (0, *lt).__getitem__  # length(x): the image length of x_x
     for eq in system:
         if sum(map(length, eq.lhs)) != sum(map(length, eq.rhs)):
             return None
     runs, end = [], 0
     for k in lt:
-        runs.append(Word._trusted(range(end + 1, end + k + 1)))
+        runs.append(range(end, end + k))
         end += k
-    # each unknown sent to its own run of position numbers 1, 2, ...
-    places = Morphism._trusted(runs)
-    pairs = []
-    for eq in system:
-        pairs += zip(places.apply(eq.lhs), places.apply(eq.rhs))
-    # position number 0 stands alone as the first block, so position p's class is one less
-    return tuple(c - 1 for c in merge_classes(end + 1, pairs)[1:])
 
+    def positions(side):
+        return [p for x in side for p in runs[x - 1]]
 
-def generic_solution(system, lt):
-    """The position classes at one length type and the generic solution g, or None.
-
-    g gives every position of class c the letter c + 1.  Each solution of
-    this length type, over any alphabet, is the image of g under the
-    letter-to-letter map sending c + 1 to the letter of class c; rank does
-    not grow under a morphism, so no solution's rank exceeds rank(g).  None
-    when some equation's sides differ in length here.
-    """
-    classes = position_classes(system, lt)
-    if classes is None:
-        return None
-    images, end = [], 0
-    for k in lt:
-        images.append(Word._trusted(c + 1 for c in classes[end:end + k]))
-        end += k
-    return classes, Morphism._trusted(images)
+    # the two sides of an equation align their positions one by one
+    pairs = [pair for eq in system for pair in zip(positions(eq.lhs), positions(eq.rhs))]
+    classes = merge_classes(end, pairs)
+    return LengthTypeRecord(
+        classes=tuple(classes),
+        count=len(set(classes)),
+        runs=tuple(tuple(classes[p] for p in run) for run in runs),
+        step=gcd(*lt),
+    )
 
 
 def budget_candidates(n: int, budget: EnumerationBudget) -> int:
@@ -278,31 +308,11 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
         block = list(map(trusted, solutions_of_length_type(system, lt, budget.alphabet, pools)))
         if block:
             solutions += block
-            ranks += map(_block_rank(system, lt), block)
+            ranks += map(length_type_record(system, lt).solution_rank, block)
     return SolutionSet(
         system=system, n=n, budget=budget, solutions=tuple(solutions),
         candidates_visited=visited, ranks=tuple(ranks),
     )
-
-
-def _block_rank(system, lt):
-    """The combinatorial rank of a solution of the system at length type lt, as a function.
-
-    lt must hold a solution.  Each solution there is a letter-to-letter
-    image of the type's generic solution g, and r = rank(g) bounds its
-    rank.  When r <= 1 every solution there has rank r.  When r = 2 a
-    solution has rank 1 exactly when its nonempty images are powers of
-    one word (Lyndon-Schützenberger), that is, when its concatenated
-    images have the gcd of the image lengths as a period, and rank 2
-    otherwise.  From r = 3 on it is ``combinatorial_rank`` itself.
-    """
-    r = combinatorial_rank(generic_solution(system, lt)[1])
-    if r <= 1:
-        return lambda h: r
-    if r == 2:
-        step = gcd(*lt)
-        return lambda h: 1 if (w := sum(h, ()))[step:] == w[:-step] else 2
-    return combinatorial_rank
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
@@ -368,14 +378,29 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
     return {"verdict": verdict, "budget": budget.describe(), "subsystems": entries}
 
 
+def _solution_set_keys(system, lt, alphabet) -> list[tuple[int, tuple[int, ...] | None]]:
+    """Per equation, its solution count at lt over the alphabet and, past one solution, its classes.
+
+    The count is |A|^c for c classes, or 0 when the sides differ in length.
+    Over two or more letters the classes can be read back from the
+    solutions, and a set of at most one is empty or the one candidate
+    here, so two equations have equal solution sets exactly when their
+    keys are equal.
+    """
+    size = len(set(Word(alphabet)))
+    records = [length_type_record((eq,), lt) for eq in system]
+    counts = [0 if rec is None else size**rec.count for rec in records]
+    return [(k, rec.classes if k > 1 else None) for k, rec in zip(counts, records)]
+
+
 def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> dict:
     """Check the rank bound of the coefficient matrix against known solutions.
 
     For every supplied solution of combinatorial rank r the matrix rank
     must be at most n - r.  When the matrix rank is 1, at most one length
     is zero and all equations are nontrivial, all equations must have
-    identical solution sets of this length type; that part is verified by
-    exhausting the morphisms of the given length type over the alphabet.
+    identical solution sets of this length type over the alphabet; that
+    part compares the equations' position classes.
     """
     system = list(system)
     if not system:
@@ -407,16 +432,14 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
     applicable = matrix_rank == 1 and zeros <= 1 and all(not e.is_trivial for e in system)
     claim2 = {"applicable": applicable}
     if applicable:
-        if len(alphabet) ** sum(lt) > MAX_CANDIDATES:
-            raise ValueError("length type too large for exhaustive comparison")
-        sets = [set(solutions_of_length_type([eq], lt, alphabet)) for eq in system]
-        equal = all(s == sets[0] for s in sets[1:])
+        keys = _solution_set_keys(system, lt, alphabet)
+        equal = len(set(keys)) == 1
         claim2["solution_sets_equal"] = equal
-        claim2["set_size"] = len(sets[0])
+        claim2["set_size"] = keys[0][0]
         if not equal:
             raise TheoremCheckError(
                 "rank-1 matrix but per-equation solution sets differ",
-                report={"sizes": [len(s) for s in sets]},
+                report={"sizes": [size for size, _ in keys]},
             )
     report["same_solution_sets"] = claim2
     return report

@@ -365,25 +365,6 @@ def encode_ratfun(w: Word) -> RationalFunction:
     return RationalFunction(numerator, exact_div(x_power_minus_one(len(root)), common))
 
 
-def poly_concat_identity(ws) -> IntPolynomial:
-    """Encoding of a concatenation built blockwise; self-checks the result.
-
-    Computes sum_i P(w_i) X^(length of w_1..w_{i-1}) and verifies that it
-    equals the direct encoding of the concatenated word.
-    """
-    total = IntPolynomial()
-    offset = 0
-    cat = []
-    for w in ws:
-        total = total + encode_poly(w).shift(offset)
-        offset += len(w)
-        cat.extend(w)
-    direct = encode_poly(Word(cat))
-    if total != direct:
-        raise TheoremCheckError("blockwise encoding disagrees with direct encoding")
-    return total
-
-
 def primdiv_check(w: Word) -> bool:
     """True when no (X^|w|-1)/(X^d-1) with d a proper divisor divides P(w).
 

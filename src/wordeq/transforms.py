@@ -10,13 +10,12 @@ images.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .errors import InputFormatError, TheoremCheckError
+from .errors import TheoremCheckError
 from .equations import Equation, PolyMatrix, position_row, rank_polymatrix, rational_matrix_rank
 from .polynomials import encode_poly
-from .words import LengthType, Morphism, Word, default_names, parse_word
+from .words import LengthType, Morphism, Word, default_names
 
 
 @dataclass(frozen=True)
@@ -232,50 +231,3 @@ def verify_composition_identities(endo: Morphism, g: Morphism) -> dict:
         "position_rank": rank_polymatrix(b),
         "checks_passed": True,
     }
-
-
-_STEP_RE = re.compile(r"^(regular|singular)\s+(\S+)<-(\S+?)(?:\s+(\S+))?$")
-
-
-def parse_factorization(text: str, n: int, names: list[str] | None = None) -> SolutionFactorization:
-    """Parse the script rendering produced by SolutionFactorization.to_text."""
-    names = names or default_names(n)
-    index = {name: i + 1 for i, name in enumerate(names)}
-    erased: list[int] = []
-    steps: list[ElementaryTransformation] = []
-    theta: Morphism | None = None
-    for part in (p.strip() for p in text.split(";")):
-        if not part:
-            continue
-        if part.startswith("erase "):
-            name = part[len("erase ") :].strip()
-            if name not in index:
-                raise InputFormatError(f"unknown name {name!r} in erase clause")
-            erased.append(index[name])
-        elif part.startswith("theta:"):
-            entries = {}
-            for item in part[len("theta:") :].split(","):
-                left, _, right = item.partition("=")
-                name = left.strip()
-                if name not in index:
-                    raise InputFormatError(f"unknown name {name!r} in theta clause")
-                entries[index[name]] = parse_word(right.strip())
-            if sorted(entries) != list(range(1, n + 1)):
-                raise InputFormatError("theta must define every unknown")
-            theta = Morphism(entries[i] for i in range(1, n + 1))
-        else:
-            m = _STEP_RE.match(part)
-            if not m:
-                raise InputFormatError(f"cannot parse factorization step {part!r}")
-            kind, target, source, trailer = m.groups()
-            if target not in index or source not in index:
-                raise InputFormatError(f"unknown name in step {part!r}")
-            regular = kind == "regular"
-            if regular and trailer != target:
-                raise InputFormatError(f"malformed regular step {part!r}")
-            steps.append(
-                ElementaryTransformation(index[target], index[source], regular=regular)
-            )
-    if theta is None:
-        raise InputFormatError("factorization script lacks a theta clause")
-    return SolutionFactorization(n=n, erased=tuple(sorted(erased)), steps=tuple(steps), theta=theta)

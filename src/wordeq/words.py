@@ -307,11 +307,6 @@ def parse_morphism(text: str, names: list[str] | None = None, n: int | None = No
     return Morphism(entries[i] for i in range(1, size + 1))
 
 
-def morphism_to_text(h: Morphism, names: list[str] | None = None) -> str:
-    names = names or default_names(h.n)
-    return "\n".join(f"{names[i]} = {h[i].to_text()}" for i in range(h.n))
-
-
 def words_of_length(alphabet, length: int):
     """All letter tuples of a given length over the alphabet."""
     return itertools.product(alphabet, repeat=length)

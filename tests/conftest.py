@@ -1,6 +1,6 @@
 import pytest
 
-from wordeq import Morphism, Word, parse_system
+from wordeq import Equation, Morphism, Word, parse_system
 
 
 def eqs(text):
@@ -16,6 +16,15 @@ def eq1(text):
 
 def morphism(*words):
     return Morphism(tuple(Word(tuple(w)) for w in words))
+
+
+def random_equation(rng, n):
+    """An equation over n unknowns with sides of 0 to 4 random unknowns."""
+    return Equation(
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
+        n,
+    )
 
 
 @pytest.fixture

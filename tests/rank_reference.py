@@ -4,6 +4,9 @@ symbolic_rank is the polynomial Bareiss elimination that rank_polymatrix
 used before it became a single integer elimination at a certified point.
 It never evaluates the matrix, so it is an independent twin.
 
+rank_by_evaluation is the rank at one integer point, a lower bound that
+equals the rank at every point that is no root of a nonzero minor.
+
 factor_subset_rank is the generate-and-test search that
 combinatorial_rank used before its left-to-right parse search: it tries
 every r-subset of the images' factors, smallest r first.
@@ -12,10 +15,20 @@ every r-subset of the images' factors, smallest r first.
 import itertools
 from math import gcd
 
-from wordeq.equations import PolyMatrix
+from wordeq.equations import PolyMatrix, rational_matrix_rank
 from wordeq.polynomials import IntPolynomial, exact_div
 
 from ratfun_reference import content
+
+
+def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
+    """Rank of the matrix after substituting an integer for X.
+
+    Always at most the rank over Q(X), with equality at every point that
+    is no root of a nonzero minor; rank_polymatrix evaluates at a point
+    certified to be one, and tests compare it against random points.
+    """
+    return rational_matrix_rank(matrix.evaluate(point))
 
 
 def _pivot_weight(p: IntPolynomial):

@@ -35,7 +35,6 @@ from wordeq import (
     power_identity_check,
     primitive_root,
     q_polynomial,
-    rank_by_evaluation,
     rank_polymatrix,
     residual,
 )
@@ -49,7 +48,7 @@ from wordeq.words import words_of_length
 from wordeq.oracle import length_types_up_to
 
 from conftest import eq1, eqs, morphism
-from rank_reference import symbolic_rank
+from rank_reference import rank_by_evaluation, symbolic_rank
 
 
 CYCLE = eq1("x1 x2 x3 = x3 x1 x2")

@@ -159,6 +159,22 @@ class TestExitCodes:
         assert out == ""
         assert "line 1: unknown 'x' declared twice" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("unknowns: eps y\neps = y\n", "line 1: 'eps' cannot name an unknown"),
+            ("unknowns: x y\nunknowns: a b\na = b\n", "line 2: second unknown declaration"),
+        ],
+        ids=["eps-name", "second-declaration"],
+    )
+    def test_ambiguous_unknown_declaration(self, tmp_path, text, message):
+        f = tmp_path / "declared.txt"
+        f.write_text(text)
+        code, out, err = invoke(["system", "enumerate", str(f), "--max-total", "2"])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_enumerate_lengths_of_the_wrong_size(self):
         # the same check and message as eq coeffs and eq rank
         for argv in (

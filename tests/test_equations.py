@@ -12,19 +12,26 @@ from wordeq import (
     Word,
     coefficient_matrix,
     encode_poly,
-    parse_equation,
     parse_polynomial,
     parse_system,
     q_polynomial,
-    rank_by_evaluation,
     rank_polymatrix,
     rank_theorem_check,
     residual,
 )
 from wordeq.equations import rational_matrix_rank
+from wordeq.oracle import _solution_set_keys, length_types_up_to
 
-from conftest import eq1, eqs, morphism
-from rank_reference import symbolic_rank
+from conftest import eq1, eqs, morphism, random_equation
+from rank_reference import rank_by_evaluation, symbolic_rank
+
+
+def parse_equation(text: str):
+    """Parse a single equation; returns (equation, names)."""
+    eqs, names = parse_system(text)
+    if len(eqs) != 1:
+        raise InputFormatError(f"expected one equation, found {len(eqs)}")
+    return eqs[0], names
 
 
 P = parse_polynomial
@@ -278,7 +285,55 @@ class TestRank:
         assert rational_matrix_rank([[third, 0, -third], [0, 0, 0], [1, Fraction(5, 7), -1]]) == 2
 
 
+def exhaustive_solution_set(eq, lt, alphabet):
+    """Every image tuple of length type lt over the alphabet that solves eq, by brute force."""
+    pools = [list(itertools.product(alphabet, repeat=k)) for k in lt]
+    return {
+        images for images in itertools.product(*pools)
+        if morphism(*images).apply(eq.lhs) == morphism(*images).apply(eq.rhs)
+    }
+
+
 class TestRankTheoremCheck:
+    def test_rank_one_type_past_a_million_candidates(self):
+        # 2^21 candidates over {1, 2}; the 7 classes of equal-length images give 2^7 solutions
+        report = rank_theorem_check([CYCLE], (7, 7, 7), [])
+        assert report["same_solution_sets"] == {
+            "applicable": True,
+            "solution_sets_equal": True,
+            "set_size": 128,
+        }
+
+    def test_solution_set_keys_match_exhaustive_sets(self):
+        rng = random.Random(1602)
+        # the cycle's mirror image has as many solutions at every length type, but other ones
+        mirror = Equation(CYCLE.lhs[::-1], CYCLE.rhs[::-1], 3)
+        trials = [(CYCLE, mirror, lt) for lt in length_types_up_to(3, 4)]
+        for trial in range(300):
+            n = rng.randint(1, 3)
+            first = random_equation(rng, n)
+            # every fourth pair is an equation and its side-swapped twin or its square,
+            # which have its solutions
+            second = random_equation(rng, n) if trial % 4 else rng.choice((
+                first.swapped(), Equation(first.lhs * 2, first.rhs * 2, n)
+            ))
+            trials.append((first, second, tuple(rng.randint(0, 3) for _ in range(n))))
+        seen = set()
+        for alphabet in ((1,), (1, 2), (1, 2, 3)):
+            for first, second, lt in trials:
+                if len(alphabet) ** sum(lt) > 3**6:
+                    continue
+                keys = _solution_set_keys([first, second], lt, alphabet)
+                sets = [exhaustive_solution_set(eq, lt, alphabet) for eq in (first, second)]
+                assert [size for size, _ in keys] == [len(s) for s in sets]
+                equal = sets[0] == sets[1]
+                assert (keys[0] == keys[1]) == equal, (first, second, lt, alphabet)
+                seen.add((len(alphabet), equal, len(sets[0]) == len(sets[1]) > 1))
+        # over each alphabet both verdicts occur, and over two or more letters
+        # also between sets of the same size past one solution
+        assert seen >= {(1, True, False), (1, False, False)}
+        assert seen >= {(k, v, True) for k in (2, 3) for v in (True, False)}
+
     def test_cycle_with_rank2_solution(self):
         h = morphism((1,), (2,), (1, 2))
         report = rank_theorem_check([CYCLE], L112, [h])
@@ -367,6 +422,17 @@ class TestParsing:
         # the repeat would add a phantom unknown that no equation can reach
         with pytest.raises(InputFormatError, match="line 2: unknown 'x' declared twice"):
             parse_system("# two unknowns\nunknowns: x y x\nx y = y x")
+
+    def test_eps_declared_as_an_unknown_rejected(self):
+        # eps is the empty side: "eps = y" would read it as empty, "eps y = y eps" as unknown 1
+        for text in ("unknowns: eps y\neps = y", "unknowns: x eps\nx eps = eps x"):
+            with pytest.raises(InputFormatError, match="line 1: 'eps' cannot name an unknown"):
+                parse_system(text)
+
+    def test_second_unknown_declaration_rejected(self):
+        # the second line would silently replace the first
+        with pytest.raises(InputFormatError, match="line 3: second unknown declaration"):
+            parse_system("unknowns: x y\n# renamed\nunknowns: a b\na = b")
 
     def test_single_equation_helper(self):
         eq, names = parse_equation("x y = y x")

@@ -24,10 +24,9 @@ from wordeq import (
     rank_theorem_check,
     residual,
 )
-from wordeq.oracle import generic_solution, length_types_up_to, position_classes
-from wordeq.oracle import solutions_of_length_type
+from wordeq.oracle import length_type_record, length_types_up_to, solutions_of_length_type
 
-from conftest import eq1, morphism
+from conftest import eq1, morphism, random_equation
 
 
 SWAP = eq1("x y = y x")
@@ -355,72 +354,101 @@ class TestLengthTypes:
         assert all(sum(lt) <= 4 for lt in lts)
 
 
+def classes(system, lt):
+    record = length_type_record(system, lt)
+    return None if record is None else record.classes
+
+
+def generic(record):
+    """The generic solution g of a record: class c gets the letter c + 1."""
+    return morphism(*[[c + 1 for c in run] for run in record.runs])
+
+
 class TestPositionClasses:
     def test_commutation_joins_every_position(self):
-        assert position_classes([SWAP], (1, 1)) == (0, 0)
-        assert position_classes([SWAP], (1, 2)) == (0, 0, 0)
-        assert position_classes([SWAP], (2, 2)) == (0, 1, 0, 1)
+        assert classes([SWAP], (1, 1)) == (0, 0)
+        assert classes([SWAP], (1, 2)) == (0, 0, 0)
+        assert classes([SWAP], (2, 2)) == (0, 1, 0, 1)
 
     def test_classes_numbered_by_first_position(self):
         # x1 x2 x3 = x3 x1 x2 at (1, 1, 2): 1 2 | 3 4 against 3 4 | 1 2
-        assert position_classes([CYCLE], (1, 1, 2)) == (0, 1, 0, 1)
-        assert position_classes([], (2, 0, 1)) == (0, 1, 2)
+        assert classes([CYCLE], (1, 1, 2)) == (0, 1, 0, 1)
+        assert classes([], (2, 0, 1)) == (0, 1, 2)
 
     def test_sides_of_different_length(self):
-        assert position_classes([SWAP, eq1("x x = y")], (1, 1)) is None
-        assert position_classes([eq1("x x = y")], (1, 2)) == (0, 0, 0)
+        assert length_type_record([SWAP, eq1("x x = y")], (1, 1)) is None
+        assert classes([eq1("x x = y")], (1, 2)) == (0, 0, 0)
 
     def test_assignments_are_the_solutions_in_image_order(self):
         rng = random.Random(83)
         for _ in range(60):
             n = rng.randint(1, 3)
-            system = [
-                Equation(
-                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
-                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
-                    n,
-                )
-                for _ in range(rng.randint(1, 3))
-            ]
+            system = [random_equation(rng, n) for _ in range(rng.randint(1, 3))]
             alphabet = rng.choice(((1,), (1, 2), (1, 2, 3)))
             for lt in length_types_up_to(n, 5):
                 scanned = list(solutions_of_length_type(system, lt, alphabet))
-                classes = position_classes(system, lt)
-                if classes is None:
+                record = length_type_record(system, lt)
+                if record is None:
                     assert scanned == []
                     continue
-                cuts = list(itertools.accumulate(lt, initial=0))
+                assert record.count == len(set(record.classes))
+                assert sum(record.runs, ()) == record.classes
+                assert tuple(map(len, record.runs)) == lt
                 listed = [
-                    tuple(tuple(a[c] for c in classes[i:j]) for i, j in zip(cuts, cuts[1:]))
-                    for a in itertools.product(alphabet, repeat=len(set(classes)))
+                    tuple(tuple(a[c] for c in run) for run in record.runs)
+                    for a in itertools.product(alphabet, repeat=record.count)
                 ]
                 assert listed == scanned, (system, lt)
 
 
 class TestGenericSolution:
     def test_classes_and_their_letters(self):
-        classes, g = generic_solution([CYCLE], (1, 1, 2))
-        assert classes == (0, 1, 0, 1)
-        assert g == morphism((1,), (2,), (1, 2))
-        assert generic_solution([SWAP, eq1("x x = y")], (1, 1)) is None
+        record = length_type_record([CYCLE], (1, 1, 2))
+        assert record.classes == (0, 1, 0, 1)
+        assert record.count == 2
+        assert generic(record) == morphism((1,), (2,), (1, 2))
+        assert record.generic_rank == 2
+        assert length_type_record([SWAP, eq1("x x = y")], (1, 1)) is None
 
     def test_solutions_are_letter_images_of_g(self):
         # every solution of a length type maps each letter c + 1 of g to one letter
         out = enumerate_solutions([CYCLE], EnumerationBudget((1, 2), 6))
         for h in out:
-            _, g = generic_solution([CYCLE], h.length_type())
+            g = generic(length_type_record([CYCLE], h.length_type()))
             letter = {}
             for w, v in zip(g, h):
                 for c, a in zip(w, v):
                     assert letter.setdefault(c, a) == a
 
 
-def _random_equation(rng, n):
-    return Equation(
-        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
-        tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))),
-        n,
-    )
+class TestRankRule:
+    """The record's rank of a solution, from rank(g), against combinatorial_rank."""
+
+    def test_matches_combinatorial_rank_on_every_assignment(self):
+        rng = random.Random(1601)
+        seen = set()
+        for trial in range(400):
+            n = rng.randint(1, 4)
+            alphabet = rng.choice(((1, 2), (1, 2, 3)))
+            # every fifth system is empty, so g is a code and r is the nonempty image count
+            system = [] if trial % 5 == 0 else [
+                random_equation(rng, n) for _ in range(rng.randint(1, 2))
+            ]
+            lt = tuple(rng.randint(0, 3) for _ in range(n))
+            record = length_type_record(system, lt)
+            if record is None or len(alphabet) ** record.count > 3**6:
+                continue
+            r = record.generic_rank
+            assert r == combinatorial_rank(generic(record))
+            seen.add(min(r, 3))
+            for a in itertools.product(alphabet, repeat=record.count):
+                images = [tuple(a[c] for c in run) for run in record.runs]
+                rank = combinatorial_rank(images)
+                assert record.solution_rank(images) == rank <= r, (system, lt, images)
+                if r == 2:
+                    # rank 1 exactly on the assignments agreeing on the period pairs
+                    assert (rank == 1) == all(a[c] == a[e] for c, e in record.period)
+        assert seen == {0, 1, 2, 3}
 
 
 class TestBlockRanks:
@@ -438,7 +466,7 @@ class TestBlockRanks:
             budget = EnumerationBudget(alphabet, rng.randint(2, top))
             # every tenth system is empty, with an explicit unknown count
             system = [] if trial % 10 == 0 else [
-                _random_equation(rng, n) for _ in range(rng.randint(1, 2))
+                random_equation(rng, n) for _ in range(rng.randint(1, 2))
             ]
             sols = enumerate_solutions(system, budget, n=n)
             views = [sols, sols.nonerasing()]

@@ -12,14 +12,13 @@ from wordeq import (
     commute_check,
     encode_ratfun,
     is_periodic,
-    morphism_to_text,
     parse_morphism,
     parse_word,
     primitive_root,
 )
 
 from wordeq import words
-from wordeq.words import _minimal_factor_cover
+from wordeq.words import _minimal_factor_cover, default_names
 
 from conftest import morphism
 from rank_reference import factor_subset_rank
@@ -281,6 +280,11 @@ class TestLengthType:
         for lengths in ((True, 2), (1, False)):
             with pytest.raises(ValueError, match="length type entries must be nonnegative"):
                 LengthType(lengths)
+
+
+def morphism_to_text(h: Morphism, names: list[str] | None = None) -> str:
+    names = names or default_names(h.n)
+    return "\n".join(f"{names[i]} = {h[i].to_text()}" for i in range(h.n))
 
 
 class TestMorphismText:
