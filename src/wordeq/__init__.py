@@ -4,7 +4,6 @@ from .covers import (
     CoverError,
     Hyperplane,
     HyperplaneCover,
-    balance_profile,
     balance_theorem_check,
     chain_bound,
     chain_bound_corollary,
@@ -18,6 +17,7 @@ from .covers import (
 from .equations import (
     Equation,
     PolyMatrix,
+    balance_profile,
     coefficient_matrix,
     coefficient_row,
     parse_system,

@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .covers import (
-    balance_profile,
     chain_bound,
     chain_bound_corollary,
     chain_check,
@@ -23,6 +22,7 @@ from .covers import (
     graph_components,
 )
 from .equations import (
+    balance_profile,
     coefficient_matrix,
     coefficient_row,
     parse_system,

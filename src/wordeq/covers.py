@@ -13,11 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .equations import Equation, unknown_count
+from .equations import Equation, balance_profile, unknown_count
 from .errors import TheoremCheckError
 from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms
-from .oracle import EnumerationBudget, budget_candidates, enumerate_solutions
-from .oracle import length_type_record, length_types_up_to, merge_classes
+from .oracle import EnumerationBudget, balanced_length_types, budget_candidates
+from .oracle import enumerate_solutions, length_type_record, merge_classes
 from .words import Morphism, Word, combinatorial_rank, commute_check
 
 
@@ -245,16 +245,6 @@ def cover_soundness_check(eq1: Equation, eq2: Equation, cover: HyperplaneCover, 
     return {"solutions_checked": checked, "covered": True}
 
 
-def balance_profile(eq: Equation) -> tuple[int, ...]:
-    """Occurrence surplus of each unknown, left side minus right side.
-
-    The zero vector means the equation is balanced; a nonzero vector is
-    the normal of the one hyperplane containing every solution length
-    type of the equation.
-    """
-    return tuple(eq.lhs.count(x) - eq.rhs.count(x) for x in range(1, eq.n + 1))
-
-
 def _equations_passed(a, links) -> int:
     """How many later equations, in order, the assignment solves before one fails."""
     passed = 0
@@ -285,11 +275,11 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
     sizes = [0] * len(equations)  # counted solutions passing the first j later equations
     passing = [0] * len(equations)  # walked solutions passing exactly j later equations
     found = None
-    for lt in sorted(length_types_up_to(first.n, budget.max_total_length)):
+    for lt in balanced_length_types((first,), first.n, budget.max_total_length):
         record = length_type_record((first,), lt)
         # no solution here has a rank above r, and r <= n - 1 since the first
         # equation is nontrivial (defect theorem)
-        if record is None or record.generic_rank != top:
+        if record.generic_rank != top:
             continue
         classes, count = record.classes, record.count
         links = []

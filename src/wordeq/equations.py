@@ -79,6 +79,16 @@ class Equation:
         return self.to_text()
 
 
+def balance_profile(eq: Equation) -> tuple[int, ...]:
+    """Occurrence surplus of each unknown, left side minus right side.
+
+    The zero vector means the equation is balanced; a nonzero vector is
+    the normal of the one hyperplane containing every solution length
+    type of the equation.
+    """
+    return tuple(eq.lhs.count(x) - eq.rhs.count(x) for x in range(1, eq.n + 1))
+
+
 def position_row(signed_sides, lt: LengthType) -> tuple[IntPolynomial, ...]:
     """One polynomial per unknown from a walk along signed words over the unknowns.
 

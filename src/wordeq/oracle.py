@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, gcd
 
-from .equations import Equation, coefficient_matrix, rank_polymatrix, unknown_count
+from .equations import Equation, balance_profile, coefficient_matrix, rank_polymatrix, unknown_count
 from .errors import TheoremCheckError
 from .words import (
     LengthType,
@@ -68,6 +68,50 @@ def compositions(n: int, total: int):
 def length_types_up_to(n: int, max_total: int):
     for total in range(max_total + 1):
         yield from compositions(n, total)
+
+
+def balanced_length_types(system, n: int, max_total: int):
+    """The length types of total at most max_total where every equation's sides have equal length.
+
+    The sides of an equation differ in length by its surplus vector
+    (``balance_profile``) dotted with the length type, so these are the
+    bounded points on every surplus hyperplane, in the order of
+    ``sorted(length_types_up_to(n, max_total))``.  A prefix is extended
+    only while each dot product can still come back to zero, and the
+    last entry is solved for.
+    """
+    normals = [s for s in dict.fromkeys(map(balance_profile, system)) if any(s)]
+    # the entries after i, of total at most t, add between t * low and t * high to a dot product
+    low = [[min((0, *s[i + 1:])) for s in normals] for i in range(n)]
+    high = [[max((0, *s[i + 1:])) for s in normals] for i in range(n)]
+
+    def extend(prefix, dots, room):
+        i = len(prefix)
+        if i == n - 1:
+            # the bound that let this prefix through left d = 0 wherever s[i] = 0
+            ends = range(room + 1)
+            for d, s in zip(dots, normals):
+                if s[i]:
+                    v, rest = divmod(-d, s[i])
+                    ends = range(v, v + 1) if not rest and v in ends else range(0)
+            for v in ends:
+                yield prefix + (v,)
+            return
+        for v in range(room + 1):
+            after = [d + s[i] * v for d, s in zip(dots, normals)]
+            left = room - v
+            if all(lo * left <= -d <= hi * left for d, lo, hi in zip(after, low[i], high[i])):
+                yield from extend(prefix + (v,), after, left)
+
+    return extend((), [0] * len(normals), max_total)
+
+
+class _Quoted(dict):
+    """Word -> its JSON string, written on first use."""
+
+    def __missing__(self, w):
+        text = self[w] = '"' + w.to_text() + '"'
+        return text
 
 
 @dataclass(frozen=True)
@@ -128,16 +172,15 @@ class SolutionSet:
             middle = key + "]," + key + '"length_type": [' + key + "  "
             tail = key + "]," + key + '"rank": '
             close = outer + "}"
-        solutions = self.solutions[:stop]
-        quoted = {w: '"' + w.to_text() + '"' for w in {w for h in solutions for w in h}}
+        quote = _Quoted().__getitem__
         after = {}  # (length type, rank) -> the entry's text after its images
         texts = []
-        for h, rank in zip(solutions, self.ranks):
+        for h, rank in zip(self.solutions[:stop], self.ranks):
             key = tuple(map(len, h)), rank
             rest = after.get(key)
             if rest is None:
                 rest = after[key] = middle + sep.join(map(str, key[0])) + tail + str(rank) + close
-            texts.append(head + sep.join(map(quoted.__getitem__, h)) + rest)
+            texts.append(head + sep.join(map(quote, h)) + rest)
         return texts
 
     def to_json_lines(self) -> str:
@@ -304,7 +347,7 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     solutions, ranks = [], []
     # the budget's alphabet is sorted, so each block is in image order and
     # walking the length types in order sorts all solutions
-    for lt in sorted(length_types_up_to(n, budget.max_total_length)):
+    for lt in balanced_length_types(system, n, budget.max_total_length):
         block = list(map(trusted, solutions_of_length_type(system, lt, budget.alphabet, pools)))
         if block:
             solutions += block
@@ -405,6 +448,7 @@ def rank_theorem_check(system, lt: LengthType, solutions, alphabet=(1, 2)) -> di
     system = list(system)
     if not system:
         raise ValueError("the rank theorem check needs at least one equation")
+    alphabet = Word(alphabet)  # checked whether or not the second claim applies
     lt = LengthType(lt)
     n = unknown_count(system)
     matrix = coefficient_matrix(system, lt)

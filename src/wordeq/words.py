@@ -14,6 +14,10 @@ from functools import lru_cache
 from .errors import InputFormatError
 
 
+# byte k -> the digit k, for the letters 1-9 of a word's text
+_DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
+
+
 class Word(tuple):
     """Immutable word over an alphabet of positive integers: its letter tuple.
 
@@ -54,7 +58,7 @@ class Word(tuple):
         if not self:
             return "eps"
         if max(self) <= 9:
-            return "".join(map(str, self))
+            return bytes(self).translate(_DIGITS).decode()
         return "[" + ",".join(map(str, self)) + "]"
 
     def __str__(self):

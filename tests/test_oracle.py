@@ -266,6 +266,9 @@ class TestAlphabetChecks:
             list(solutions_of_length_type([SWAP], (1, 1), alphabet))
         with pytest.raises(ValueError, match="letters must be positive integers"):
             rank_theorem_check([CYCLE], (1, 1, 2), [], alphabet=alphabet)
+        # a trivial equation: the same-solution-sets claim does not apply
+        with pytest.raises(ValueError, match="letters must be positive integers"):
+            rank_theorem_check([Equation((1, 2), (1, 2), 2)], (1, 1), [], alphabet=alphabet)
 
 
 class TestEntireSystem:
@@ -352,6 +355,32 @@ class TestLengthTypes:
         assert len(lts) == len(set(lts))
         assert len(lts) == math.comb(4 + 3, 3)
         assert all(sum(lt) <= 4 for lt in lts)
+
+    def test_balanced_walk_is_the_side_length_filtered_walk(self):
+        def filtered(system, n, top):
+            return [
+                lt for lt in sorted(length_types_up_to(n, top))
+                if all(LengthType(lt).apply(eq.lhs) == LengthType(lt).apply(eq.rhs) for eq in system)
+            ]
+
+        rng = random.Random(23)
+        systems = [
+            (1, [Equation((1, 1), (1,), 1)]),
+            (3, [CYCLE]),  # zero surplus: every type balances
+            (3, [CYCLE, Equation((1, 2), (2, 1, 2), 3)]),  # surpluses (0, 0, 0) and (0, -1, 0)
+            (2, [Equation((1, 1), (1,), 2)]),  # (1, 0): a zero in the last coordinate
+            # dependent surpluses: (2, 0, -1) and its double; two vectors and their sum
+            (3, [Equation((1, 1, 2), (2, 3), 3), Equation((1, 1, 1, 1, 2), (2, 3, 3), 3)]),
+            (3, [Equation((1, 2), (3,), 3), Equation((1,), (2,), 3), Equation((1, 1), (2, 3), 3)]),
+            (4, [Equation((1, 2, 3, 4), (4, 3), 4)]),
+        ]
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            systems.append((n, [random_equation(rng, n) for _ in range(rng.randint(1, 3))]))
+        for n, system in systems:
+            for top in range(8):
+                walked = list(oracle.balanced_length_types(system, n, top))
+                assert walked == filtered(system, n, top), (system, top)
 
 
 def classes(system, lt):

@@ -55,6 +55,24 @@ class TestWord:
         assert parse_word("1212").to_text() == "1212"
         assert Word().to_text() == "eps"
 
+    def test_text_matches_the_per_letter_rendering(self):
+        def per_letter(w):
+            if not w:
+                return "eps"
+            if max(w) <= 9:
+                return "".join(str(a) for a in w)
+            return "[" + ",".join(str(a) for a in w) + "]"
+
+        rng = random.Random(17)
+        cases = [(), *((a,) for a in range(1, 10)), tuple(range(1, 10)), (9, 10), (10, 9),
+                 (255,), (256,), (255, 256), (1, 255), (1, 256), (10,)]
+        cases += [tuple(rng.randint(1, top) for _ in range(rng.randint(1, 12)))
+                  for top in (2, 9, 10, 300) for _ in range(50)]
+        for letters in cases:
+            assert Word(letters).to_text() == per_letter(letters), letters
+        assert Word((9, 10)).to_text() == "[9,10]" and Word((255, 256)).to_text() == "[255,256]"
+        assert Word(range(1, 10)).to_text() == "123456789"
+
     def test_parse_rejects_zero_letter(self):
         with pytest.raises(ValueError):
             parse_word("102")
