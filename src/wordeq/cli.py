@@ -339,7 +339,7 @@ def _system_enumerate(args, out):
         sols = sols.of_rank(args.rank)
         out.inputs["rank"] = args.rank
     out.results["candidates_visited"] = sols.candidates_visited
-    out.results["solution_count"] = len(sols.solutions)
+    out.results["solution_count"] = len(sols)
     # the report writers render the entries from the set itself
     out.results["solutions"] = sols
     if args.jsonl:
@@ -349,8 +349,8 @@ def _system_enumerate(args, out):
 @_command("system independent", "leave-one-out independence probe",
           _arg("systemfile"), *_BUDGET_ARGS)
 def _system_independent(args, out):
-    eqs, _ = _load_system(args.systemfile, out)
-    out.results.update(independence_check(eqs, _budget(args, out)))
+    eqs, names = _load_system(args.systemfile, out)
+    out.results.update(independence_check(eqs, _budget(args, out), names))
 
 
 @_command("chain bound", "chain bound from occurrence counts",

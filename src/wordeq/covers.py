@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .equations import Equation, balance_profile, unknown_count
 from .errors import TheoremCheckError
@@ -272,6 +273,7 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
     budget_candidates(first.n, budget)
     top = first.n - 1
     size = len(budget.alphabet)
+    surpluses = list(map(balance_profile, later))
     sizes = [0] * len(equations)  # counted solutions passing the first j later equations
     passing = [0] * len(equations)  # walked solutions passing exactly j later equations
     found = None
@@ -283,9 +285,11 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
             continue
         classes, count = record.classes, record.count
         links = []
-        for eq in later:
-            # eq holds when each of its classes gets the letter of its first position
-            own, lead = length_type_record((eq,), lt), {}
+        for eq, surplus in zip(later, surpluses):
+            # eq's sides have equal length here exactly when its surplus vector is orthogonal
+            # to lt; then eq holds when each of its classes gets the letter of its first position
+            own = None if sum(map(mul, surplus, lt)) else length_type_record((eq,), lt)
+            lead = {}
             links.append(None if own is None else [
                 (classes[lead.setdefault(c, p)], classes[p]) for p, c in enumerate(own.classes)
             ])
@@ -306,14 +310,13 @@ def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool =
                 continue
         rank = record.solution_rank
         for a in itertools.product(budget.alphabet, repeat=count):
-            images = [tuple([a[c] for c in run]) for run in record.runs]
-            if rank(images) != top:
+            if rank(a) != top:
                 continue
             passed = _equations_passed(a, links)
             if top > 2:
                 passing[passed] += 1
             if escape and found is None and not passed:
-                found = list(map(Word._trusted, images))
+                found = record.images(a)
                 if top < 3:
                     break
     walked = itertools.accumulate(reversed(passing))
@@ -379,7 +382,7 @@ def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
             )
     return {
         "components": r,
-        "nonerasing_solutions": len(sols.solutions),
+        "nonerasing_solutions": len(sols),
         "max_rank_seen": worst,
         "bound_holds": True,
         "budget": budget.describe(),

@@ -1,10 +1,10 @@
 """Brute-force ground truth by exhaustive enumeration over small alphabets.
 
 Enumeration walks length types first (all nonnegative vectors with a
-bounded total), then every assignment of letters, so solution sets can be
-sliced by length type without re-running.  All verdicts that depend on a
-budget say so; the enumerator falsifies, it never proves anything beyond
-its budget.
+bounded total), then every letter assignment of a type's position
+classes, so solution sets can be sliced by length type without
+re-running.  All verdicts that depend on a budget say so; the enumerator
+falsifies, it never proves anything beyond its budget.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, gcd
+from operator import itemgetter
+from typing import NamedTuple
 
 from .equations import Equation, balance_profile, coefficient_matrix, rank_polymatrix, unknown_count
 from .errors import TheoremCheckError
@@ -114,42 +116,63 @@ class _Quoted(dict):
         return text
 
 
+def _literal(text: str) -> str:
+    """Text for a ``str.format`` template that writes it unchanged."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+class _Block(NamedTuple):
+    """The solutions of one length type: its class assignments in image order, with their ranks."""
+
+    lt: tuple[int, ...]
+    record: LengthTypeRecord
+    assignments: tuple[tuple[int, ...], ...]
+    ranks: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class SolutionSet:
-    """Complete, sorted list of the solutions found within a budget."""
+    """Complete, sorted list of the solutions found within a budget, one block per length type.
+
+    ``solutions`` and ``ranks`` spell the blocks out only when read; the
+    size, the views and the report entries work on the blocks.
+    """
 
     system: tuple[Equation, ...]
     n: int
     budget: EnumerationBudget
-    solutions: tuple[Morphism, ...]
+    blocks: tuple[_Block, ...]
     candidates_visited: int
-    ranks: tuple[int, ...]
 
     def __len__(self):
-        return len(self.solutions)
+        return sum(len(b.assignments) for b in self.blocks)
 
     def __iter__(self):
         return iter(self.solutions)
 
+    @cached_property
+    def solutions(self) -> tuple[Morphism, ...]:
+        return tuple(b.record.images(a) for b in self.blocks for a in b.assignments)
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(rank for b in self.blocks for rank in b.ranks)
+
     def of_length_type(self, lt) -> "SolutionSet":
         wanted = tuple(lt)
-        keep = [i for i, h in enumerate(self.solutions) if h.length_type() == wanted]
-        return self._filtered(keep)
+        return replace(self, blocks=tuple(b for b in self.blocks if b.lt == wanted))
 
     def of_rank(self, r: int) -> "SolutionSet":
         """Solutions of exact combinatorial rank r."""
-        return self._filtered([i for i, rk in enumerate(self.ranks) if rk == r])
+        blocks = []
+        for b in self.blocks:
+            keep = [a for a, rank in zip(b.assignments, b.ranks) if rank == r]
+            if keep:
+                blocks.append(b._replace(assignments=tuple(keep), ranks=(r,) * len(keep)))
+        return replace(self, blocks=tuple(blocks))
 
     def nonerasing(self) -> "SolutionSet":
-        keep = [i for i, h in enumerate(self.solutions) if h.is_nonerasing]
-        return self._filtered(keep)
-
-    def _filtered(self, indices) -> "SolutionSet":
-        return replace(
-            self,
-            solutions=tuple(self.solutions[i] for i in indices),
-            ranks=tuple(self.ranks[i] for i in indices),
-        )
+        return replace(self, blocks=tuple(b for b in self.blocks if all(b.lt)))
 
     def entry_texts(self, depth: int | None = None, stop: int | None = None) -> list[str]:
         """The JSON text of each solution's report entry: images, length type and rank.
@@ -157,10 +180,12 @@ class SolutionSet:
         With no depth the text is what ``json.dumps`` writes for the entry;
         at a depth it is what ``json.dumps(..., indent=2)`` writes for the
         entry nested that deep.  Word texts hold only digits, commas,
-        brackets and "eps", so quoting needs no escapes.  Each distinct
-        word is quoted once, and the text after the images once per length
-        type and rank.  Given ``stop``, only the first ``stop`` solutions
-        are written.
+        brackets and "eps", so quoting needs no escapes.  Over letters 1-9
+        a word's text is its letters' digits, so each block is written
+        from one ``str.format`` template per rank, whose field at each
+        image position names that position's class; over an alphabet with
+        a letter of 10 or more each distinct word is quoted once.  Given
+        ``stop``, only the first ``stop`` solutions are written.
         """
         if depth is None:
             sep, head, middle, tail, close = ", ", '{"images": [', '], "length_type": [', '], "rank": ', "}"
@@ -172,15 +197,26 @@ class SolutionSet:
             middle = key + "]," + key + '"length_type": [' + key + "  "
             tail = key + "]," + key + '"rank": '
             close = outer + "}"
+        digits = max(self.budget.alphabet) <= 9
         quote = _Quoted().__getitem__
-        after = {}  # (length type, rank) -> the entry's text after its images
         texts = []
-        for h, rank in zip(self.solutions[:stop], self.ranks):
-            key = tuple(map(len, h)), rank
-            rest = after.get(key)
-            if rest is None:
-                rest = after[key] = middle + sep.join(map(str, key[0])) + tail + str(rank) + close
-            texts.append(head + sep.join(map(quote, h)) + rest)
+        for b in self.blocks:
+            room = None if stop is None else stop - len(texts)
+            if room == 0:
+                break
+            rest = middle + sep.join(map(str, b.lt)) + tail
+            pairs = zip(b.assignments[:room], b.ranks)
+            if digits:
+                # an image's text is the digits of its classes' letters, one field per position
+                images = _literal(sep).join(
+                    '"' + "".join(f"{{{c}}}" for c in run) + '"' if run else '"eps"' for run in b.record.runs
+                )
+                formats = {rank: (_literal(head) + images + _literal(rest + str(rank) + close)).format
+                           for rank in set(b.ranks)}
+                texts += [formats[rank](*a) for a, rank in pairs]
+            else:
+                texts += [head + sep.join(map(quote, b.record.images(a))) + rest + str(rank) + close
+                          for a, rank in pairs]
         return texts
 
     def to_json_lines(self) -> str:
@@ -276,21 +312,27 @@ class LengthTypeRecord:
 
     @cached_property
     def solution_rank(self):
-        """A solution's combinatorial rank here, as a function of its images.
+        """A solution's combinatorial rank here, as a function of its class assignment.
 
         r when r <= 1.  At r = 2, 1 exactly when the nonempty images are
         powers of one word (Lyndon-Schützenberger), that is, when their
         concatenation has period ``step``, or the assignment agrees on
         every pair of ``period``, and 2 otherwise.  From r = 3 on,
-        ``combinatorial_rank`` itself.
+        ``combinatorial_rank`` of the images.
         """
         r = self.generic_rank
         if r <= 1:
-            return lambda h: r
+            return lambda a: r
         if r == 2:
-            step = self.step
-            return lambda h: 1 if (w := sum(h, ()))[step:] == w[:-step] else 2
-        return combinatorial_rank
+            # g has rank 2, so it breaks the period and some pair joins two classes
+            pairs = [pair for pair in dict.fromkeys(self.period) if pair[0] != pair[1]]
+            left, right = itemgetter(*[c for c, _ in pairs]), itemgetter(*[e for _, e in pairs])
+            return lambda a: 1 if left(a) == right(a) else 2
+        return lambda a: combinatorial_rank(self.images(a))
+
+    def images(self, a) -> Morphism:
+        """The solution whose class c gets the letter a[c]."""
+        return Morphism._trusted(tuple(Word._trusted([a[c] for c in run]) for run in self.runs))
 
 
 def length_type_record(system, lt) -> LengthTypeRecord | None:
@@ -332,9 +374,11 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     """All morphisms within the budget solving every equation of the system, with their ranks.
 
     An empty system needs an explicit unknown count and is solved by
-    every morphism.  Every length type counts its full candidate set as
-    visited, including the ones ruled out by side lengths without a scan.
-    A budget of more than MAX_CANDIDATES candidates is refused up front.
+    every morphism.  The solutions of a length type are the letter
+    assignments of its position classes, so they are listed, not found by
+    a scan; every length type still counts its full candidate set as
+    visited.  A budget of more than MAX_CANDIDATES candidates is refused
+    up front.
     """
     system = tuple(system)
     if system:
@@ -342,20 +386,14 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     elif n is None:
         raise ValueError("an empty system needs an explicit unknown count")
     visited = budget_candidates(n, budget)
-    pools = _WordPools(budget.alphabet)
-    trusted = Morphism._trusted
-    solutions, ranks = [], []
-    # the budget's alphabet is sorted, so each block is in image order and
-    # walking the length types in order sorts all solutions
+    blocks = []
+    # the budget's alphabet is sorted and classes are numbered by first position,
+    # so each block lists its assignments in image order, and the length types come in report order
     for lt in balanced_length_types(system, n, budget.max_total_length):
-        block = list(map(trusted, solutions_of_length_type(system, lt, budget.alphabet, pools)))
-        if block:
-            solutions += block
-            ranks += map(length_type_record(system, lt).solution_rank, block)
-    return SolutionSet(
-        system=system, n=n, budget=budget, solutions=tuple(solutions),
-        candidates_visited=visited, ranks=tuple(ranks),
-    )
+        record = length_type_record(system, lt)
+        assignments = tuple(itertools.product(budget.alphabet, repeat=record.count))
+        blocks.append(_Block(lt, record, assignments, tuple(map(record.solution_rank, assignments))))
+    return SolutionSet(system=system, n=n, budget=budget, blocks=tuple(blocks), candidates_visited=visited)
 
 
 def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
@@ -376,7 +414,7 @@ def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
     return None
 
 
-def independence_check(system, budget: EnumerationBudget) -> dict:
+def independence_check(system, budget: EnumerationBudget, names: list[str] | None = None) -> dict:
     """Probe whether the system is equivalent to a leave-one-out subsystem.
 
     The system is equivalent to a proper subsystem exactly when it is
@@ -384,6 +422,8 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
     those are examined.  A witness solves the remaining equations but not
     the dropped one; verdicts are relative to the budget except for the
     syntactic certainties (dropping a duplicate or trivial equation).
+    The dropped equation is written with the unknown names, x1 ... xn
+    when none are given.
     """
     system = list(system)
     if not system:
@@ -394,7 +434,7 @@ def independence_check(system, budget: EnumerationBudget) -> dict:
     all_witnessed = True
     for i, omitted in enumerate(system):
         rest = [eq for j, eq in enumerate(system) if j != i]
-        entry: dict = {"omitted_index": i, "omitted": omitted.to_text()}
+        entry: dict = {"omitted_index": i, "omitted": omitted.to_text(names)}
         if omitted.is_trivial or any(
             (eq.lhs, eq.rhs) in ((omitted.lhs, omitted.rhs), (omitted.rhs, omitted.lhs))
             for eq in rest

@@ -95,6 +95,12 @@ class TestFileCommands:
             ["--json", "system", "independent", str(f), "--max-total", "3"]
         )
         assert report["results"]["verdict"] == "independent within budget"
+        # the omitted equation is written with the file's unknown names, as the system is echoed
+        report = invoke_json(
+            ["--json", "system", "independent", "recipes/inputs/cycle.txt", "--max-total", "4"]
+        )
+        omitted = [entry["omitted"] for entry in report["results"]["subsystems"]]
+        assert omitted == report["inputs"]["system"] == ["x y z = z x y"]
 
     def test_chain_bound(self):
         report = invoke_json(
@@ -312,13 +318,20 @@ def solution_sets():
     ranked = enumerate_solutions([cycle], EnumerationBudget((1, 2), 5))
     wide = enumerate_solutions([cycle], EnumerationBudget((1, 12), 4))
     free = enumerate_solutions([], EnumerationBudget((3, 11), 3), n=2)
+    # x4 = eps leaves x1, x2 and x3 free, so (1, 1, 1, 0) has generic rank 3
+    [cycle4], _ = wordeq.cli.parse_system("x1 x2 x3 x4 = x4 x1 x2 x3\n")
+    four = enumerate_solutions([cycle4], EnumerationBudget((1, 2, 3), 4))
+    assert 3 in four.ranks
     return {
         "ranked": ranked,
         "rank-1": ranked.of_rank(1),
         "lengths": ranked.of_length_type((1, 1, 2)),
         "empty": ranked.of_rank(3),
         "letters-past-9": wide,
+        "two-digit-letters": enumerate_solutions([cycle], EnumerationBudget((10, 11), 4)),
+        "one-letter": enumerate_solutions([cycle], EnumerationBudget((1,), 6)),
         "no-equation": free.nonerasing(),
+        "four-unknowns": four,
     }
 
 
@@ -361,17 +374,22 @@ class TestSolutionEntries:
 
     def test_human_lines_write_only_the_listed_entries(self, monkeypatch):
         [cycle], _ = wordeq.cli.parse_system((ROOT / "recipes" / "inputs" / "cycle.txt").read_text())
-        sols = enumerate_solutions([cycle], EnumerationBudget((1, 2), 8))
-        listed = {w for h in sols.solutions[:20] for w in h}
-        assert len({w for h in sols for w in h}) > 10 * len(listed)
         written = []
         to_text = words.Word.to_text
         monkeypatch.setattr(words.Word, "to_text", lambda w: written.append(w) or to_text(w))
-        lines = _human_lines({"command": "system enumerate", "inputs": {},
-                              "results": {"solutions": sols}, "checks": [], "elapsed_ms": 0})
-        assert lines[-2] == f"  solutions    ... {len(sols) - 20} more"
-        # each word of the 20 listed entries is written once, and no other word
-        assert sorted(written) == sorted(listed)
+        for alphabet in ((1, 2), (1, 12)):
+            written.clear()
+            sols = enumerate_solutions([cycle], EnumerationBudget(alphabet, 8))
+            lines = _human_lines({"command": "system enumerate", "inputs": {},
+                                  "results": {"solutions": sols}, "checks": [], "elapsed_ms": 0})
+            assert lines[-2] == f"  solutions    ... {len(sols) - 20} more"
+            # the report is written from the blocks: no solution is spelled out as a morphism
+            assert "solutions" not in vars(sols)
+            listed = {w for h in sols.solutions[:20] for w in h}
+            assert len({w for h in sols for w in h}) > 10 * len(listed)
+            # over letters 1-9 the entries come from templates and no word is quoted; past 9,
+            # each word of the 20 listed entries is quoted once, and no other word
+            assert sorted(written) == ([] if alphabet == (1, 2) else sorted(listed))
 
     @pytest.mark.parametrize("extra", [
         [], ["--rank", "1"], ["--lengths", "1,1,2"], ["--rank", "2", "--lengths", "2,1,3"],

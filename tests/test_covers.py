@@ -353,11 +353,13 @@ class TestCountingMatchesListing:
     def test_same_first_escaping_solution(self, monkeypatch):
         # the cycle is balanced; treated as unbalanced, its rank-2 solutions
         # that are not of the form (u, v, uv) escape the pair
-        for module in (covers, chain_reference):
-            monkeypatch.setattr(module, "balance_profile", lambda eq: (1,))
         e1, e3 = eq1("x1 x2 x3 = x3 x1 x2"), Equation((3,), (1, 2), 3)
         # over one letter a length type holds one solution, so its escape is the only one there
         swap, square = eq1("x y = y x"), eq1("x x = y")
+        # only the first equations are treated as unbalanced; the second keep their surplus vectors
+        for module in (covers, chain_reference):
+            monkeypatch.setattr(module, "balance_profile",
+                                lambda eq: (1,) if eq in (e1, swap) else balance_profile(eq))
         for pair, alphabet in (((e1, e3), (1, 2)), ((e1, e3), (1, 2, 3)), ((swap, square), (1,))):
             budget = EnumerationBudget(alphabet, 5)
             report = _outcome(balance_theorem_check, *pair, budget)

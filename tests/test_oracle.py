@@ -473,7 +473,7 @@ class TestRankRule:
             for a in itertools.product(alphabet, repeat=record.count):
                 images = [tuple(a[c] for c in run) for run in record.runs]
                 rank = combinatorial_rank(images)
-                assert record.solution_rank(images) == rank <= r, (system, lt, images)
+                assert record.solution_rank(a) == rank <= r, (system, lt, images)
                 if r == 2:
                     # rank 1 exactly on the assignments agreeing on the period pairs
                     assert (rank == 1) == all(a[c] == a[e] for c, e in record.period)
@@ -498,10 +498,19 @@ class TestBlockRanks:
                 random_equation(rng, n) for _ in range(rng.randint(1, 2))
             ]
             sols = enumerate_solutions(system, budget, n=n)
-            views = [sols, sols.nonerasing()]
-            if sols:
-                views.append(sols.of_length_type(rng.choice(sols.solutions).length_type()))
-            for view in views:
+            flat = list(zip(sols.solutions, sols.ranks))
+            lt = rng.choice(sols.solutions).length_type() if sols else (0,) * n
+            r = rng.randint(0, 3)
+            # each view against the same filter over the flat lists
+            views = [
+                (sols, lambda h, rank: True),
+                (sols.nonerasing(), lambda h, rank: h.is_nonerasing),
+                (sols.of_length_type(lt), lambda h, rank: h.length_type() == lt),
+                (sols.of_rank(r), lambda h, rank: rank == r),
+            ]
+            for view, keep in views:
+                assert list(zip(view.solutions, view.ranks)) == [(h, rank) for h, rank in flat if keep(h, rank)]
+                assert len(view) == len(view.solutions) == len(view.ranks)
                 assert view.ranks == tuple(combinatorial_rank(h) for h in view), system
                 seen.update(view.ranks)
         assert seen == {0, 1, 2, 3}
