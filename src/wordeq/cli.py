@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -101,27 +102,53 @@ def _command(name: str, help_text: str, *arguments):
     return declare
 
 
+# --json is accepted both before and after the subcommand; the trailing
+# copy suppresses its default so it cannot shadow a leading one
+_JSON_ARG = _arg("--json", action="store_true", default=argparse.SUPPRESS,
+                 help="machine-readable report")
+
+
+class _Leaf:
+    """A subcommand's parser, built from its ``COMMANDS`` entry on first use.
+
+    argparse keeps a leaf's name and help text apart from its parser, for
+    choices, usage errors and the group's --help; of the parser itself it
+    only calls ``parse_known_args``, on the one leaf a query selects.
+    """
+
+    def __init__(self, command: str, kwargs: dict):
+        self._command = command
+        self._kwargs = kwargs  # add_parser's keyword arguments
+
+    @cached_property
+    def _parser(self) -> _Parser:
+        _, arguments, handler = COMMANDS[self._command]
+        parser = _Parser(**self._kwargs)
+        for flags, kwargs in (_JSON_ARG, *arguments):
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self._parser, name)
+
+
+def _subparser(command: str | None = None, **kwargs):
+    """The parser ``add_parser`` makes: a group's at once, a leaf's as a ``_Leaf``."""
+    return _Parser(**kwargs) if command is None else _Leaf(command, kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # --json is accepted both before and after the subcommand; the
-    # trailing copy suppresses its default so it cannot shadow a leading one
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="machine-readable report",
-    )
     root = _Parser(prog="wordeq", description=__doc__)
     root.add_argument("--json", action="store_true", help="machine-readable report")
-    groups = {"": root.add_subparsers(dest="command", required=True)}
-    for name, (help_text, arguments, handler) in COMMANDS.items():
+    groups = {"": root.add_subparsers(dest="command", required=True, parser_class=_subparser)}
+    for name, (help_text, _, _) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
-                dest="subcommand", required=True
+                dest="subcommand", required=True, parser_class=_subparser
             )
-        p = groups[group].add_parser(leaf, parents=[json_flag], help=help_text)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=handler)
+        groups[group].add_parser(leaf, help=help_text, command=name)
     return root
 
 

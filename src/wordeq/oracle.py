@@ -392,7 +392,9 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     for lt in balanced_length_types(system, n, budget.max_total_length):
         record = length_type_record(system, lt)
         assignments = tuple(itertools.product(budget.alphabet, repeat=record.count))
-        blocks.append(_Block(lt, record, assignments, tuple(map(record.solution_rank, assignments))))
+        r = record.generic_rank
+        ranks = (r,) * len(assignments) if r <= 1 else tuple(map(record.solution_rank, assignments))
+        blocks.append(_Block(lt, record, assignments, ranks))
     return SolutionSet(system=system, n=n, budget=budget, blocks=tuple(blocks), candidates_visited=visited)
 
 

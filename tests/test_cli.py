@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import wordeq.cli
 from wordeq import EnumerationBudget, enumerate_solutions, oracle, words
-from wordeq.cli import COMMANDS, _human_lines, _json_text, run
+from wordeq.cli import _GROUPS, COMMANDS, _human_lines, _json_text, _Parser, run
 from wordeq.polynomials import IntPolynomial
 from wordeq.words import _minimal_factor_cover
 
@@ -22,6 +23,7 @@ RECIPES = json.loads((ROOT / "recipes" / "recipes.json").read_text())
 
 
 def invoke(argv, cwd=ROOT):
+    """``run``'s exit code, stdout and stderr; --help's exit is taken as the exit code."""
     out, err = io.StringIO(), io.StringIO()
     import os
 
@@ -29,7 +31,10 @@ def invoke(argv, cwd=ROOT):
     os.chdir(cwd)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         os.chdir(old)
     return code, out.getvalue(), err.getvalue()
@@ -242,6 +247,100 @@ class TestExitCodes:
         assert code == 2
         assert "theorem check failed" in err
         assert out == ""
+
+
+def eager_parser():
+    """The whole parser tree with every leaf built up front: the slow twin of ``build_parser``."""
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS,
+        help="machine-readable report",
+    )
+    root = _Parser(prog="wordeq", description=wordeq.cli.__doc__)
+    root.add_argument("--json", action="store_true", help="machine-readable report")
+    groups = {"": root.add_subparsers(dest="command", required=True)}
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        p = groups[group].add_parser(leaf, parents=[json_flag], help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
+    return root
+
+
+def selected(parser, words):
+    """The parser below ``parser`` that the command words ``words`` select."""
+    for word in words:
+        [action] = parser._subparsers._group_actions
+        parser = action.choices[word]
+    return parser
+
+
+def outcome(argv):
+    """``invoke`` with the elapsed time masked."""
+    code, out, err = invoke(argv)
+    return code, re.sub(r'(elapsed_ms"?: )[0-9.]+', r"\g<1>0", out), err
+
+
+USAGE_ARGVS = {
+    "no-command": [],
+    "json-only": ["--json"],
+    "missing-word": ["encode"],
+    "missing-required-option": ["eq", "coeffs", "recipes/inputs/cycle.txt"],
+    "missing-k-and-l": ["--json", "pair", "minor", "recipes/inputs/pair.txt"],
+    "unknown-flag": ["encode", "--frobnicate", "1"],
+    "unknown-flag-in-group": ["system", "enumerate", "recipes/inputs/cycle.txt", "--frobnicate"],
+    "unknown-command": ["nosuch"],
+    "unknown-leaf": ["system", "nosuch"],
+    "bad-int": ["system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "z"],
+    "bare-group": ["system"],
+    "bare-group-json": ["--json", "chain"],
+    "extra-argument": ["commute", "12", "1212", "12"],
+    "json-before": ["--json", "chain", "bound", "recipes/inputs/cycle.txt", "-k", "1", "-l", "2"],
+    "json-after": ["chain", "bound", "recipes/inputs/cycle.txt", "-k", "1", "-l", "2", "--json"],
+    "json-twice": ["--json", "encode", "1212", "--json"],
+    "human": ["system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "4"],
+    "root-help": ["--help"],
+    "group-help": ["pair", "-h"],
+    "leaf-help": ["system", "enumerate", "--help"],
+}
+
+
+class TestLazyParser:
+    """The parser tree with leaves built on first use, against the eager twin."""
+
+    @pytest.mark.parametrize("words", [[], *([g] for g in _GROUPS), *(n.split() for n in COMMANDS)],
+                             ids=lambda words: " ".join(words) or "root")
+    def test_help_matches_the_eager_tree(self, words):
+        assert selected(wordeq.cli.build_parser(), words).format_help() == \
+            selected(eager_parser(), words).format_help()
+
+    @pytest.mark.parametrize("argv", list(USAGE_ARGVS.values()), ids=list(USAGE_ARGVS))
+    def test_run_matches_the_eager_tree(self, argv, monkeypatch):
+        lazy = outcome(argv)
+        monkeypatch.setattr(wordeq.cli, "build_parser", eager_parser)
+        assert lazy == outcome(argv)
+
+    @pytest.mark.parametrize("argv, leaf", [
+        (["--json", "encode", "1212"], ["wordeq encode"]),
+        (["system", "graph", "recipes/inputs/cycle.txt", "--json"], ["wordeq system graph"]),
+        (["system", "nosuch"], []),
+    ], ids=["top-level", "in-group", "unknown-leaf"])
+    def test_builds_only_the_selected_leaf(self, argv, leaf, monkeypatch):
+        built = []
+        init = _Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Parser, "__init__", counting)
+        outcome(argv)
+        assert built == ["wordeq", "wordeq eq", "wordeq pair", "wordeq system", "wordeq chain", *leaf]
 
 
 class TestReportShape:
