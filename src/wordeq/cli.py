@@ -571,6 +571,9 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         args.handler(args, out)
+    except SystemExit as exc:
+        # argparse's help action exits once it has printed the help text
+        return exc.code
     except _ArgumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
 
 from .equations import Equation, balance_profile, unknown_count
 from .errors import TheoremCheckError
@@ -246,81 +245,44 @@ def cover_soundness_check(eq1: Equation, eq2: Equation, cover: HyperplaneCover, 
     return {"solutions_checked": checked, "covered": True}
 
 
-def _equations_passed(a, links) -> int:
-    """How many later equations, in order, the assignment solves before one fails."""
-    passed = 0
-    for pairs in links:
-        if pairs is None or any(a[c] != a[e] for c, e in pairs):
-            break
-        passed += 1
-    return passed
+def _top_rank_prefix_counts(equations, budget: EnumerationBudget) -> list[int]:
+    """How many rank-(n-1) solutions within the budget solve the first 1, 2, ... equations.
 
-
-def _top_rank_prefix_counts(equations, budget: EnumerationBudget, escape: bool = False):
-    """Prefix counts of the first equation's rank-(n-1) solutions, and its first escape.
-
-    The counts are of those solving the first 1, 2, ... equations.  Given
-    ``escape``, the escape is the images of the first of them, by length
-    type and then images, that fails the second equation, or None.  Only
-    types whose generic rank r is n - 1 count (``oracle.LengthTypeRecord``).
-    The assignments agreeing on a set of class pairs number |A|^c, c the
-    class blocks once those pairs are joined, so below r = 3 the counts
-    come in closed form, and a walk over the assignments only finds the
-    first escape; from r = 3 on, the walk ranks every assignment.  A budget
-    past MAX_CANDIDATES is refused before any work.
+    At each length type the solutions of a prefix are the class
+    assignments of the prefix's own record, and only types whose generic
+    rank r is n - 1 count (``oracle.LengthTypeRecord.top_rank_count``).
+    One more equation only joins classes, so r never rises along the
+    prefixes, and the walk at a type stops at the first prefix whose
+    record is None or whose r drops.  A budget past MAX_CANDIDATES is
+    refused before any work.
     """
-    first, later = equations[0], equations[1:]
+    first = equations[0]
     budget_candidates(first.n, budget)
     top = first.n - 1
-    size = len(budget.alphabet)
-    surpluses = list(map(balance_profile, later))
-    sizes = [0] * len(equations)  # counted solutions passing the first j later equations
-    passing = [0] * len(equations)  # walked solutions passing exactly j later equations
-    found = None
+    sizes = [0] * len(equations)
     for lt in balanced_length_types((first,), first.n, budget.max_total_length):
-        record = length_type_record((first,), lt)
-        # no solution here has a rank above r, and r <= n - 1 since the first
-        # equation is nontrivial (defect theorem)
+        for j in range(len(equations)):
+            record = length_type_record(equations[:j + 1], lt)
+            # no solution here has a rank above r, and r <= n - 1 since the first
+            # equation is nontrivial (defect theorem)
+            if record is None or record.generic_rank != top:
+                break
+            sizes[j] += record.top_rank_count(budget.alphabet)
+    return sizes
+
+
+def _first_escape(eq1: Equation, eq2: Equation, budget: EnumerationBudget) -> Morphism | None:
+    """eq1's first rank-(n-1) solution in the budget, by length type and then images, failing eq2."""
+    top = eq1.n - 1
+    for lt in balanced_length_types((eq1,), eq1.n, budget.max_total_length):
+        record = length_type_record((eq1,), lt)
         if record.generic_rank != top:
             continue
-        classes, count = record.classes, record.count
-        links = []
-        for eq, surplus in zip(later, surpluses):
-            # eq's sides have equal length here exactly when its surplus vector is orthogonal
-            # to lt; then eq holds when each of its classes gets the letter of its first position
-            own = None if sum(map(mul, surplus, lt)) else length_type_record((eq,), lt)
-            lead = {}
-            links.append(None if own is None else [
-                (classes[lead.setdefault(c, p)], classes[p]) for p, c in enumerate(own.classes)
-            ])
-        if top < 3:
-            here, joined = [], []
-            for pairs in [[]] + links:
-                if pairs is None:
-                    break
-                joined += pairs
-                solving = size ** len(set(merge_classes(count, joined)))
-                # at r = 2, the assignments agreeing on the period pairs give rank 1
-                ones = top == 2 and size ** len(set(merge_classes(count, [*joined, *record.period])))
-                here.append(solving - ones)
-            for j, solving in enumerate(here):
-                sizes[j] += solving
-            # the first escape of the budget lies here when a counted solution fails the second equation
-            if not (escape and found is None and here[0] > sum(here[1:2])):
-                continue
         rank = record.solution_rank
-        for a in itertools.product(budget.alphabet, repeat=count):
-            if rank(a) != top:
-                continue
-            passed = _equations_passed(a, links)
-            if top > 2:
-                passing[passed] += 1
-            if escape and found is None and not passed:
-                found = record.images(a)
-                if top < 3:
-                    break
-    walked = itertools.accumulate(reversed(passing))
-    return [a + b for a, b in zip(sizes, list(walked)[::-1])], found
+        for a in itertools.product(budget.alphabet, repeat=record.count):
+            if rank(a) == top and not eq2.solved_by(h := record.images(a)):
+                return h
+    return None
 
 
 def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudget) -> dict:
@@ -334,14 +296,16 @@ def balance_theorem_check(eq1: Equation, eq2: Equation, budget: EnumerationBudge
     unknown_count((eq1, eq2))
     if not any(balance_profile(eq1)):
         return {"applicable": False, "reason": "first equation is balanced"}
-    (top, common), escape = _top_rank_prefix_counts((eq1, eq2), budget, escape=True)
+    top, common = _top_rank_prefix_counts((eq1, eq2), budget)
     if not common:
         return {
             "applicable": False,
             "reason": "no common maximal-rank solution within budget",
             "budget": budget.describe(),
         }
-    if escape is not None:
+    # every common solution is one of eq1's, so the counts differ exactly when one escapes
+    if top > common:
+        escape = _first_escape(eq1, eq2, budget)
         raise TheoremCheckError(
             "a maximal-rank solution of the unbalanced equation escapes the pair",
             report={"images": [w.to_text() for w in escape]},
@@ -480,7 +444,7 @@ def chain_check(equations, budget: EnumerationBudget) -> dict:
     for eq in equations:
         if eq.is_trivial:
             raise ValueError("chains are made of nontrivial equations")
-    sizes, _ = _top_rank_prefix_counts(equations, budget)
+    sizes = _top_rank_prefix_counts(equations, budget)
     # each prefix's set holds the next one, so descent is strict exactly when the count drops
     strict = [after < before for before, after in zip(sizes, sizes[1:])]
     realized = 1

@@ -1,10 +1,11 @@
 """Brute-force ground truth by exhaustive enumeration over small alphabets.
 
-Enumeration walks length types first (all nonnegative vectors with a
-bounded total), then every letter assignment of a type's position
-classes, so solution sets can be sliced by length type without
-re-running.  All verdicts that depend on a budget say so; the enumerator
-falsifies, it never proves anything beyond its budget.
+Enumeration walks only the length types of bounded total where every
+equation's sides have equal length, and lists each one's solutions as the
+letter assignments of its position classes, so solution sets can be
+sliced by length type without re-running.  All verdicts that depend on a
+budget say so; the enumerator falsifies, it never proves anything beyond
+its budget.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ class LengthTypeRecord:
         powers of one word (Lyndon-Schützenberger), that is, when their
         concatenation has period ``step``, or the assignment agrees on
         every pair of ``period``, and 2 otherwise.  From r = 3 on,
-        ``combinatorial_rank`` of the images.
+        ``combinatorial_rank`` of the images.  Enumeration, ``top_rank_count``
+        and the balance check's escape search all rank by this rule.
         """
         r = self.generic_rank
         if r <= 1:
@@ -329,6 +331,23 @@ class LengthTypeRecord:
             left, right = itemgetter(*[c for c, _ in pairs]), itemgetter(*[e for _, e in pairs])
             return lambda a: 1 if left(a) == right(a) else 2
         return lambda a: combinatorial_rank(self.images(a))
+
+    def top_rank_count(self, alphabet) -> int:
+        """How many assignments over an alphabet of distinct letters give a solution of rank r.
+
+        The assignments agreeing on a set of class pairs number |A|^c, c the
+        classes once those pairs are joined, so below r = 3 the count comes
+        in closed form: every assignment when r <= 1, and at r = 2 all but
+        the |A|^c agreeing on the period pairs, which give rank 1.  From
+        r = 3 on, a walk ranks every assignment with ``solution_rank``.
+        """
+        r, size = self.generic_rank, len(alphabet)
+        if r <= 1:
+            return size**self.count
+        if r == 2:
+            return size**self.count - size ** len(set(merge_classes(self.count, self.period)))
+        rank = self.solution_rank
+        return sum(rank(a) == r for a in itertools.product(alphabet, repeat=self.count))
 
     def images(self, a) -> Morphism:
         """The solution whose class c gets the letter a[c]."""

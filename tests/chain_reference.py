@@ -98,3 +98,11 @@ def listing_chain_check(equations, budget: EnumerationBudget) -> dict:
     else:
         report["bound_checked"] = False
     return report
+
+
+def listing_first_escape(eq1: Equation, eq2: Equation, budget: EnumerationBudget):
+    """The first listed rank-(n-1) solution of the first equation that fails the second, or None."""
+    for h in enumerate_solutions([eq1], budget):
+        if combinatorial_rank(h) == eq1.n - 1 and not eq2.solved_by(h):
+            return h
+    return None

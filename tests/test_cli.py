@@ -23,7 +23,7 @@ RECIPES = json.loads((ROOT / "recipes" / "recipes.json").read_text())
 
 
 def invoke(argv, cwd=ROOT):
-    """``run``'s exit code, stdout and stderr; --help's exit is taken as the exit code."""
+    """``run``'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     import os
 
@@ -31,10 +31,7 @@ def invoke(argv, cwd=ROOT):
     os.chdir(cwd)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = run(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = run(argv)
     finally:
         os.chdir(old)
     return code, out.getvalue(), err.getvalue()
@@ -324,6 +321,12 @@ class TestLazyParser:
         lazy = outcome(argv)
         monkeypatch.setattr(wordeq.cli, "build_parser", eager_parser)
         assert lazy == outcome(argv)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["system", "enumerate", "-h"]], ids=["root", "leaf"])
+    def test_help_returns_its_exit_code(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: wordeq")
 
     @pytest.mark.parametrize("argv, leaf", [
         (["--json", "encode", "1212"], ["wordeq encode"]),

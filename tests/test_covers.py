@@ -27,7 +27,7 @@ from wordeq.errors import TheoremCheckError
 from wordeq.oracle import MAX_CANDIDATES
 
 import chain_reference
-from chain_reference import listing_balance_check, listing_chain_check
+from chain_reference import listing_balance_check, listing_chain_check, listing_first_escape
 from conftest import eq1, eqs, morphism
 
 
@@ -381,3 +381,35 @@ class TestCountingMatchesListing:
         message = f"the budget asks for 1000727379967 candidates, more than {MAX_CANDIDATES}"
         assert report[:2] == (ValueError, message)
         assert report == _outcome(listing_balance_check, e1, e2, budget)
+
+
+class TestFirstEscape:
+    """The balance check's escaping solution, looked for only when the check fails."""
+
+    def test_matches_the_first_listed_escape(self):
+        rng = random.Random(907)
+        escaped = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            alphabet = rng.choice(((1,), (1, 2), (1, 2, 3)))
+            budget = EnumerationBudget(alphabet, rng.randint(2, 4))
+            pair = _random_nontrivial(rng, n), _random_nontrivial(rng, n)
+            escape = covers._first_escape(*pair, budget)
+            assert escape == listing_first_escape(*pair, budget), pair
+            escaped += escape is not None
+        assert escaped >= 45
+
+    def test_passing_checks_never_look(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a passing balance check looked for an escape")
+
+        monkeypatch.setattr(covers, "_first_escape", refuse)
+        rng = random.Random(911)
+        applicable = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            budget = EnumerationBudget(rng.choice(((1,), (1, 2), (1, 2, 3))), rng.randint(2, 5))
+            eq = _random_nontrivial(rng, n)
+            report = balance_theorem_check(eq, rng.choice((eq, _random_nontrivial(rng, n))), budget)
+            applicable += report["applicable"]
+        assert applicable >= 40

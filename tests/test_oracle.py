@@ -480,6 +480,39 @@ class TestRankRule:
         assert seen == {0, 1, 2, 3}
 
 
+def balancing_equation(rng, n, lt):
+    """A random equation whose sides have equal length at lt."""
+    while True:
+        eq = random_equation(rng, n)
+        if length_type_record([eq], lt) is not None:
+            return eq
+
+
+class TestTopRankCount:
+    """The record's count of rank-r assignments against ranking every assignment."""
+
+    def test_matches_ranking_every_assignment(self):
+        rng = random.Random(2311)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            first = random_equation(rng, n)
+            lt = rng.choice(list(oracle.balanced_length_types([first], n, 6)))
+            system = [first, *(balancing_equation(rng, n, lt) for _ in range(rng.randint(0, 2)))]
+            for j in range(len(system)):
+                record = length_type_record(system[:j + 1], lt)
+                r = record.generic_rank
+                seen.add((min(r, 3), j > 0))
+                for alphabet in ((1,), (1, 2), (1, 2, 3)):
+                    if len(alphabet) ** record.count > 3**5:
+                        continue
+                    ranked = sum(combinatorial_rank(record.images(a)) == r
+                                 for a in itertools.product(alphabet, repeat=record.count))
+                    assert record.top_rank_count(alphabet) == ranked, (system[:j + 1], lt, alphabet)
+        # every rank rule, on records of one equation and of longer prefixes
+        assert seen == {(r, longer) for r in range(4) for longer in (False, True)}
+
+
 class TestBlockRanks:
     """enumerate_solutions' ranks, one generic rank per length type, against per-solution ranks."""
 
