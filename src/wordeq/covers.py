@@ -15,7 +15,7 @@ from math import gcd
 
 from .equations import Equation, balance_profile, unknown_count
 from .errors import TheoremCheckError
-from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms
+from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms, s_polynomial
 from .oracle import EnumerationBudget, balanced_length_types, budget_candidates
 from .oracle import enumerate_solutions, length_type_record, merge_classes
 from .words import Morphism, Word, combinatorial_rank, commute_check
@@ -42,6 +42,7 @@ class Hyperplane:
     p: LinForm
     q: LinForm
     normal: tuple[int, ...] = field(init=False)
+    _normalized: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p.n != self.q.n:
@@ -50,9 +51,10 @@ class Hyperplane:
         if not any(normal):
             raise ValueError("the two forms are equal; no hyperplane")
         object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "_normalized", _normalized_normal(normal))
 
     def normalized_normal(self) -> tuple[int, ...]:
-        return _normalized_normal(self.normal)
+        return self._normalized
 
     def contains(self, point) -> bool:
         values = tuple(point)
@@ -62,16 +64,16 @@ class Hyperplane:
 
     def relation_text(self) -> str:
         """Reduced rendering, positive part left: "X1+2X2 = 2X3"."""
-        norm = self.normalized_normal()
-        left = LinForm(v if v > 0 else 0 for v in norm)
-        right = LinForm(-v if v < 0 else 0 for v in norm)
+        norm = self._normalized
+        left = LinForm._trusted(v if v > 0 else 0 for v in norm)
+        right = LinForm._trusted(-v if v < 0 else 0 for v in norm)
         return f"{left.to_text()} = {right.to_text()}"
 
     def __eq__(self, other):
-        return isinstance(other, Hyperplane) and self.normalized_normal() == other.normalized_normal()
+        return isinstance(other, Hyperplane) and self._normalized == other._normalized
 
     def __hash__(self):
-        return hash(self.normalized_normal())
+        return hash(self._normalized)
 
     def __str__(self):
         return self.relation_text()
@@ -149,18 +151,27 @@ def _occurrence_bound(eq: Equation, k: int, l: int) -> int:
     return (eq.count(k) + eq.count(l)) ** 2
 
 
-def _candidate_pairs(eq1: Equation, eq2: Equation):
-    n = eq1.n
-    pairs = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            t = minor_t(eq1, eq2, k, l)
-            if t.is_zero:
-                continue
-            bound = _occurrence_bound(eq1, k, l)
-            unit = all(abs(c) == 1 for _, c in t.terms())
-            pairs.append((bound, 0 if unit else 1, k, l, t))
-    return pairs
+def _chosen_pair(eq1: Equation, eq2: Equation) -> tuple[int, int, GenPoly]:
+    """The pair (k, l) with a nonzero minor least by (bound, not unit, k, l), and its minor."""
+    unknowns = range(1, eq1.n + 1)
+    s1 = [s_polynomial(eq1, x) for x in unknowns]
+    s2 = [s_polynomial(eq2, x) for x in unknowns]
+    pairs = itertools.combinations(unknowns, 2)
+    walk = sorted((_occurrence_bound(eq1, k, l), k, l) for k, l in pairs)
+    best = None
+    for bound, k, l in walk:
+        if best is not None and bound > best[0]:
+            break
+        t = s1[k - 1] * s2[l - 1] - s1[l - 1] * s2[k - 1]
+        if t.is_zero:
+            continue
+        if all(abs(c) == 1 for c in t.coefficients()):
+            return k, l, t
+        if best is None:
+            best = (bound, k, l, t)
+    if best is None:
+        raise CoverError("equations indistinguishable by minors")
+    return best[1:]
 
 
 def cover_pair(
@@ -174,9 +185,13 @@ def cover_pair(
     Chooses the unknown pair with a nonzero minor that minimizes the
     squared occurrence bound, preferring minors whose surviving terms all
     have unit coefficients (they split cleanly into one power per term),
-    with lexicographic ties.  An explicit kl overrides the choice.  The
-    full-pairing variant pairs every surviving positive form with every
-    surviving negative form and serves as a trivially sound cross-check.
+    with lexicographic ties.  The bound depends on eq1 alone, so the pairs
+    are walked by (bound, k, l) and minors are formed, from s-polynomials
+    built once per unknown, only within the least bound group that has a
+    nonzero one, up to its first unit minor.  An explicit kl overrides
+    the choice.  The full-pairing variant pairs every surviving positive
+    form with every surviving negative form and serves as a trivially
+    sound cross-check.
     """
     n = unknown_count((eq1, eq2))
     if eq1.is_trivial or eq2.is_trivial:
@@ -187,10 +202,7 @@ def cover_pair(
         if t.is_zero:
             raise CoverError("equations indistinguishable by minors at the requested pair")
     else:
-        pairs = _candidate_pairs(eq1, eq2)
-        if not pairs:
-            raise CoverError("equations indistinguishable by minors")
-        _, _, k, l, t = min(pairs, key=lambda item: item[:4])
+        k, l, t = _chosen_pair(eq1, eq2)
     bound = _occurrence_bound(eq1, k, l)
     a = occurrence_forms(eq1.lhs, k, n)
     a2 = occurrence_forms(eq1.rhs, k, n)

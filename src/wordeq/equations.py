@@ -3,10 +3,10 @@
 Fixing a length type turns a word equation into a linear equation over
 the field of rational functions: each unknown gets a coefficient
 polynomial built from its occurrence positions.  The rank of the
-resulting coefficient matrix over that field is computed exactly at one
-integer point: a bound H on the coefficients of every minor makes
-X = H + 2 a non-root of each nonzero minor (Cauchy's root bound), so
-one fraction-free integer elimination there gives the exact rank.
+resulting coefficient matrix over that field is computed exactly at
+integer points: the rank at a point never exceeds it, so a full rank at
+X = 2 is exact, and otherwise a bound H on the coefficients of every minor
+makes X = H + 2 a non-root of each nonzero minor (Cauchy's root bound).
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def position_row(signed_sides, lt: LengthType) -> tuple[IntPolynomial, ...]:
         for y in side:
             cells[y - 1].append((pos, sign))
             pos += lt[y - 1]
-    return tuple(IntPolynomial(cell) for cell in cells)
+    # positions are nonnegative integers by construction, so no term needs checking
+    return tuple(IntPolynomial._new(1, IntPolynomial._collect(cell)) for cell in cells)
 
 
 def coefficient_row(eq: Equation, lt: LengthType) -> tuple[IntPolynomial, ...]:
@@ -231,15 +232,20 @@ def _integer_rank(rows) -> int:
 def rank_polymatrix(matrix: PolyMatrix) -> int:
     """Exact rank over the field of rational functions.
 
-    Let H be the product over rows of max(1, the row's total absolute
-    coefficient sum).  Every minor is an integer polynomial whose
-    coefficients sum in absolute value to at most H, so by Cauchy's root
-    bound no nonzero minor vanishes at X = H + 2.  The rank over Q(X) is
-    therefore the integer rank of the matrix evaluated there.
+    A minor nonzero at a point is a nonzero polynomial, so the rank at any
+    point is at most the rank over Q(X), itself at most min(rows, cols):
+    that rank at X = 2, the common case, is exact.  Otherwise let H be the
+    product over rows of max(1, the row's total absolute coefficient sum).
+    Every minor's coefficients sum in absolute value to at most H, so by
+    Cauchy's root bound no nonzero minor vanishes at X = H + 2, and the
+    rank over Q(X) is the integer rank there.
     """
+    rank = _integer_rank(matrix.evaluate(2))
+    if rank == min(matrix.rows, matrix.cols):
+        return rank
     bound = 1
     for row in matrix.entries:
-        bound *= max(1, sum(abs(c) for p in row for _, c in p.items()))
+        bound *= max(1, sum(abs(c) for p in row for c in p.coefficients()))
     return _integer_rank(matrix.evaluate(bound + 2))
 
 
@@ -325,12 +331,15 @@ def parse_system(text: str):
                 )
             names = letters
     n = len(names)
+    index = {name: i for i, name in enumerate(names, start=1)}
     lines = text.splitlines()
     equations = []
     for lineno, left, right in raw_eqs:
         raw = lines[lineno - 1]
 
         def resolve(token):
+            if token in index:
+                return index[token]
             try:
                 return resolve_unknown(token, names)
             except InputFormatError as exc:

@@ -31,6 +31,11 @@ class LinForm(tuple):
                 raise ValueError(f"form coefficients must be nonnegative integers, got {a!r}")
         return self
 
+    @classmethod
+    def _trusted(cls, coeffs) -> "LinForm":
+        """Wrap coefficients already known to be nonnegative integers, skipping the check."""
+        return tuple.__new__(cls, coeffs)
+
     @property
     def n(self) -> int:
         return len(self)
@@ -42,7 +47,7 @@ class LinForm(tuple):
     def __add__(self, other: "LinForm") -> "LinForm":
         if len(self) != len(other):
             raise ValueError("forms live over different unknown counts")
-        return LinForm([a + b for a, b in zip(self, other)])
+        return LinForm._trusted([a + b for a, b in zip(self, other)])
 
     def evaluate(self, point) -> int:
         values = tuple(point)
@@ -121,7 +126,7 @@ def occurrence_forms(side, x: int, n: int) -> list[LinForm]:
     forms = []
     for y in side:
         if y == x:
-            forms.append(LinForm(counts))
+            forms.append(LinForm._trusted(counts))
         counts[y - 1] += 1
     return forms
 
@@ -134,13 +139,14 @@ def s_polynomial(eq: Equation, x: int) -> GenPoly:
     right; substituting any length type recovers the fixed-length
     coefficient polynomial.
     """
-    return GenPoly(
+    # the forms come from the equation's own unknowns, so no term needs checking
+    return GenPoly._new(
         eq.n,
-        [
+        GenPoly._collect(
             (form, sign)
             for side, sign in ((eq.lhs, 1), (eq.rhs, -1))
             for form in occurrence_forms(side, x, eq.n)
-        ],
+        ),
     )
 
 

@@ -27,7 +27,8 @@ from .words import (
     words_of_length,
 )
 
-# candidates one enumeration may test: a larger budget is refused before any scan
+# candidates one enumeration may test, and letters one power identity check may build:
+# a larger budget is refused before any work
 MAX_CANDIDATES = 10**6
 
 
@@ -588,7 +589,9 @@ def power_identity_check(s, t, u, v, indices) -> dict:
     The two sides are s_0 u_1^i s_1 ... u_m^i s_m and
     t_0 v_1^i t_1 ... v_n^i t_n.  If they agree for m+n distinct
     exponents they agree for every exponent; after checking the premise
-    the identity is spot-verified up to max(indices)+5.
+    the identity is spot-verified up to max(indices)+5.  The letters that
+    both checks build grow with the square of the largest index, and past
+    MAX_CANDIDATES the check is refused before any is built.
     """
     s, t, u, v = list(s), list(t), list(u), list(v)
     m, n = len(u), len(v)
@@ -601,6 +604,12 @@ def power_identity_check(s, t, u, v, indices) -> dict:
     idx = sorted(set(indices))
     if len(idx) < m + n or any(i < 0 for i in idx):
         raise ValueError(f"need at least {m + n} distinct nonnegative exponents")
+    top = max(idx) + 5
+    # both sides at every premise exponent and at 0..top; each side grows linearly in the exponent
+    fixed, grow = sum(map(len, s + t)), sum(map(len, u + v))
+    letters = (len(idx) + top + 1) * fixed + (sum(idx) + top * (top + 1) // 2) * grow
+    if letters > MAX_CANDIDATES:
+        raise ValueError(f"the check would build {letters} letters, more than {MAX_CANDIDATES}")
 
     def build(seps, reps, i):
         word = seps[0]
@@ -611,7 +620,6 @@ def power_identity_check(s, t, u, v, indices) -> dict:
     for i in idx:
         if build(s, u, i) != build(t, v, i):
             return {"certified": False, "premise_fails_at": i, "indices": idx}
-    top = max(idx) + 5
     for i in range(top + 1):
         if build(s, u, i) != build(t, v, i):
             raise TheoremCheckError(

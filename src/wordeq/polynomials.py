@@ -89,6 +89,10 @@ class SparsePoly:
         """(exponent, coefficient) pairs in exponent order."""
         return sorted(self._terms.items())
 
+    def coefficients(self):
+        """The nonzero coefficients, in no particular order."""
+        return self._terms.values()
+
     # arithmetic
     def __add__(self, other):
         self._check(other)

@@ -1,11 +1,14 @@
 """Slow reference ranks for the differential tests.
 
 symbolic_rank is the polynomial Bareiss elimination that rank_polymatrix
-used before it became a single integer elimination at a certified point.
-It never evaluates the matrix, so it is an independent twin.
+used before it became an integer elimination at X = 2, or at a certified
+point when the rank at 2 is not full.  It never evaluates the matrix, so
+it is an independent twin.
 
 rank_by_evaluation is the rank at one integer point, a lower bound that
-equals the rank at every point that is no root of a nonzero minor.
+equals the rank at every point that is no root of a nonzero minor.  A
+rank at 2 below min(rows, cols) is what sends rank_polymatrix to its
+certified point.
 
 factor_subset_rank is the generate-and-test search that
 combinatorial_rank used before its left-to-right parse search: it tries
@@ -25,8 +28,9 @@ def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
     """Rank of the matrix after substituting an integer for X.
 
     Always at most the rank over Q(X), with equality at every point that
-    is no root of a nonzero minor; rank_polymatrix evaluates at a point
-    certified to be one, and tests compare it against random points.
+    is no root of a nonzero minor; rank_polymatrix evaluates at 2, and at
+    a point certified to be no such root when the rank at 2 is not full,
+    and tests compare it against random points.
     """
     return rational_matrix_rank(matrix.evaluate(point))
 

@@ -204,6 +204,14 @@ class TestExitCodes:
         assert out == ""
         assert "input error: the combinatorial rank search passed 5 states" in err
 
+    def test_power_identity_past_the_letter_bound_is_input_error(self):
+        code, out, err = invoke(
+            ["--json", "powerid", "recipes/inputs/telescope.txt", "--indices", "1,20000"]
+        )
+        assert code == 1
+        assert out == ""
+        assert f"letters, more than {oracle.MAX_CANDIDATES}" in err
+
     def test_unknown_flag(self):
         code, _, err = invoke(["encode", "--frobnicate", "1"])
         assert code == 1

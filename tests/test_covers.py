@@ -29,6 +29,7 @@ from wordeq.oracle import MAX_CANDIDATES
 import chain_reference
 from chain_reference import listing_balance_check, listing_chain_check, listing_first_escape
 from conftest import eq1, eqs, morphism
+from cover_reference import exhaustive_choice, exhaustive_pairs
 
 
 class TestCoverPair:
@@ -102,6 +103,63 @@ class TestCoverPair:
             diff = tuple(a - b for a, b in zip(plane.p, plane.q))
             assert any(diff)
             assert plane.normal == diff
+
+
+class TestPairChoiceMatchesExhaustive:
+    """The bound-group walk picks the pair and minor of the exhaustive search."""
+
+    @staticmethod
+    def _same_choice(e1, e2):
+        try:
+            want = exhaustive_choice(e1, e2)
+        except CoverError:
+            with pytest.raises(CoverError, match="indistinguishable"):
+                covers._chosen_pair(e1, e2)
+            with pytest.raises(CoverError, match="indistinguishable"):
+                cover_pair(e1, e2)
+            return False
+        assert covers._chosen_pair(e1, e2) == want, (e1, e2)
+        cover = cover_pair(e1, e2)
+        assert (cover.k, cover.l, cover.minor_terms_after) == (want[0], want[1], want[2].term_count)
+        return True
+
+    def test_seeded_pairs_of_two_to_five_unknowns(self):
+        rng = random.Random(2611)
+        seen = dict(no_cover=0, zero_least_group=0, no_unit_minor=0, bound_tie=0)
+        made = 0
+        while made < 800:
+            n = rng.randint(2, 5)
+
+            def side():
+                return tuple(rng.randint(1, n) for _ in range(rng.randint(0, 5)))
+
+            e1, e2 = Equation(side(), side(), n), Equation(side(), side(), n)
+            if e1.is_trivial or e2.is_trivial:
+                continue
+            made += 1
+            if not self._same_choice(e1, e2):
+                seen["no_cover"] += 1
+                continue
+            pairs = exhaustive_pairs(e1, e2)
+            bounds = [
+                (e1.count(k) + e1.count(l)) ** 2
+                for k in range(1, n + 1)
+                for l in range(k + 1, n + 1)
+            ]
+            least = min(bound for bound, *_ in pairs)
+            seen["zero_least_group"] += min(bounds) < least
+            seen["no_unit_minor"] += all(unit for bound, unit, *_ in pairs if bound == least)
+            seen["bound_tie"] += bounds.count(least) > 1
+        # every shape of the walk occurs in the sample
+        assert all(seen.values()), seen
+
+    def test_hand_pairs(self, sample_pair):
+        # the same equation twice, or with its sides swapped, has only zero minors
+        cycle = eq1("x1 x2 x3 = x3 x1 x2")
+        assert not self._same_choice(cycle, cycle)
+        assert not self._same_choice(cycle, cycle.swapped())
+        assert self._same_choice(*sample_pair)
+        assert self._same_choice(*reversed(sample_pair))
 
 
 class TestCoverSoundness:

@@ -7,10 +7,12 @@ import pytest
 from wordeq import (
     Equation,
     InputFormatError,
+    IntPolynomial,
     LengthType,
     PolyMatrix,
     Word,
     coefficient_matrix,
+    coefficient_row,
     encode_poly,
     parse_polynomial,
     parse_system,
@@ -91,6 +93,21 @@ class TestQPolynomial:
             lt = LengthType(tuple(rng.randint(0, 4) for _ in range(n)))
             for x in range(1, n + 1):
                 assert q_polynomial(eq, x, lt).evaluate(1) == lhs.count(x) - rhs.count(x)
+
+
+class TestTrustedRows:
+    def test_coefficient_row_matches_checked_build(self):
+        # position_row skips the term check; a checked IntPolynomial per cell must agree
+        rng = random.Random(2613)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            eq = random_equation(rng, n)
+            lt = LengthType(tuple(rng.randint(0, 4) for _ in range(n)))
+            cells = [[] for _ in range(n)]
+            for side, sign in ((eq.lhs, 1), (eq.rhs, -1)):
+                for i, y in enumerate(side):
+                    cells[y - 1].append((lt.apply(side[:i]), sign))
+            assert coefficient_row(eq, lt) == tuple(IntPolynomial(cell) for cell in cells)
 
 
 class TestResidual:
@@ -223,7 +240,7 @@ class TestRank:
     def test_matches_symbolic_rank_on_random_systems(self):
         # the certified point against the Z[X] elimination, never evaluated
         rng = random.Random(4111)
-        deficient_count = 0
+        deficient_count = fallback_count = 0
         for _ in range(300):
             n = rng.randint(1, 7)
             deficient = rng.random() < 0.3
@@ -246,7 +263,10 @@ class TestRank:
             assert rank == symbolic_rank(mat), (system, lt)
             if deficient:
                 assert rank < m
+            # a rank below min(rows, cols) at X = 2 sends rank_polymatrix to the certified point
+            fallback_count += rank_by_evaluation(mat, 2) < min(mat.rows, mat.cols)
         assert 60 <= deficient_count <= 120
+        assert fallback_count >= 50
 
     def test_matches_symbolic_rank_on_hand_cases(self):
         zero = P("0")
@@ -254,6 +274,7 @@ class TestRank:
         cases = [
             # determinant X - 2: evaluating at 2 drops the rank
             ([[P("X"), P("2")], [P("1"), P("1")]], 2),
+            ([[P("X - 2")]], 1),
             # a zero row must not bring the point H + 2 down to the root 2
             ([[P("X"), P("2")], [zero, zero], [P("1"), P("1")]], 2),
             # determinant 3 - X: H must count every entry, not the first column only
@@ -271,7 +292,9 @@ class TestRank:
             m = PolyMatrix(tuple(tuple(r) for r in rows))
             assert symbolic_rank(m) == want
             assert rank_polymatrix(m) == want
+        # both determinants vanish at X = 2, so both matrices reach the certified point
         assert rank_by_evaluation(PolyMatrix(((P("X"), P("2")), (P("1"), P("1")))), 2) == 1
+        assert rank_by_evaluation(PolyMatrix(((P("X - 2"),),)), 2) == 0
 
     def test_rational_matrix_rank(self):
         assert rational_matrix_rank([[1, 2], [2, 4]]) == 1
@@ -392,6 +415,11 @@ class TestRankTheoremCheck:
 
 
 class TestParsing:
+    def test_declared_and_indexed_tokens(self):
+        # declared names resolve through the name index, indexed tokens through resolve_unknown
+        [eq] = eqs("unknowns: x y\nx y x2 = y x1")
+        assert (eq.lhs, eq.rhs) == ((1, 2, 2), (2, 1))
+
     def test_header_names(self):
         eqlist, names = parse_system("unknowns: a b\na b = b a")
         assert names == ["a", "b"]

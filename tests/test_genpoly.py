@@ -16,9 +16,9 @@ from wordeq import (
     q_polynomial,
     s_polynomial,
 )
-from wordeq.genpoly import MultiPoly, zero_form
+from wordeq.genpoly import MultiPoly, occurrence_forms, zero_form
 
-from conftest import eq1
+from conftest import eq1, random_equation
 
 
 CYCLE = eq1("x1 x2 x3 = x3 x1 x2")
@@ -85,6 +85,34 @@ class TestSPolynomial:
         eq = eq1("x1 x2 = x1 x2")
         assert s_polynomial(eq, 1).is_zero
         assert s_polynomial(eq, 2).is_zero
+
+
+class TestTrustedForms:
+    def test_builders_match_checked_builds(self):
+        # occurrence_forms, s_polynomial and LinForm sums skip the coefficient check
+        rng = random.Random(2612)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            eq = random_equation(rng, n)
+            for x in range(1, n + 1):
+                for side in (eq.lhs, eq.rhs):
+                    forms = occurrence_forms(side, x, n)
+                    checked = [
+                        LinForm([side[:i].count(y) for y in range(1, n + 1)])
+                        for i, z in enumerate(side)
+                        if z == x
+                    ]
+                    assert forms == checked and all(type(f) is LinForm for f in forms)
+                terms = [
+                    (LinForm([side[:i].count(y) for y in range(1, n + 1)]), sign)
+                    for side, sign in ((eq.lhs, 1), (eq.rhs, -1))
+                    for i, z in enumerate(side)
+                    if z == x
+                ]
+                assert s_polynomial(eq, x) == GenPoly(n, terms)
+            a = LinForm(rng.randint(0, 3) for _ in range(n))
+            b = LinForm(rng.randint(0, 3) for _ in range(n))
+            assert a + b == LinForm([u + v for u, v in zip(a, b)])
 
 
 class TestSubstitute:

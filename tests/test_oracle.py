@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -327,6 +328,21 @@ class TestPowerIdentity:
         )
         assert not report["certified"]
         assert report["premise_fails_at"] == 1
+
+    def test_spot_check_past_the_letter_bound_refused_before_work(self):
+        spec = dict(
+            s=[parse_word("1"), Word()],
+            t=[Word(), parse_word("1")],
+            u=[parse_word("21")],
+            v=[parse_word("12")],
+        )
+        # (2 + 506) * 2 + (1 + 500 + 505 * 506 / 2) * 4 = 514,080 letters, within the bound
+        assert power_identity_check(**spec, indices={1, 500})["spot_verified_through"] == 505
+        start = time.perf_counter()
+        for top in (1000, 20000, 10**12):
+            with pytest.raises(ValueError, match=f"more than {oracle.MAX_CANDIDATES}"):
+                power_identity_check(**spec, indices={1, top})
+        assert time.perf_counter() - start < 1.0
 
     def test_too_few_indices_rejected(self):
         with pytest.raises(ValueError):
