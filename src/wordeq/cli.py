@@ -13,7 +13,6 @@ import sys
 import time
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .covers import (
     chain_bound,
@@ -153,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputFormatError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        with open(path) as f:
+            return f.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise InputFormatError(f"no such file: {path}") from None
 
 
 def _parse_lengths(text: str, n: int) -> LengthType:
@@ -481,86 +481,40 @@ def _human_lines(report: dict) -> list[str]:
     return lines
 
 
-class _KeyTexts(dict):
-    """Object key -> its JSON text and the key separator; string keys are kept, so shared."""
-
-    def __missing__(self, key):
-        if isinstance(key, str):
-            text = self[key] = encode_basestring_ascii(key) + ": "
-            return text
-        # json's own coercion of a number, bool or None key, and its TypeError for any other
-        return json.dumps({key: 0})[1:-4] + ": "
+def _key_text(key) -> str:
+    """An object key's JSON text: a string quoted, and a number, bool or None
+    key coerced as json coerces it, with json's TypeError for any other key."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: 0})[1:-4]
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested ``depth`` levels deep.
 
-    An ``indent`` makes json use its pure-Python encoder, a generator per
-    container.  Here the pieces go into one list, joined once.  Line breaks,
-    indents and key texts are shared strings, so a large report adds one
-    list slot per piece, not a new string.
+    A nonempty list, tuple or dict is written one item a line, each item by
+    this function one level deeper; a nonempty ``SolutionSet`` is written
+    from the entry texts it renders at that depth.  Anything else json
+    writes on one line, and raises its TypeError for what it cannot encode.
     """
-    parts: list[str] = []
-    append = parts.append
-    breaks = ["\n"]  # breaks[d]: a line break and the indent of depth d
-    commas = [",\n"]  # commas[d]: a comma before breaks[d]
-    keys = _KeyTexts()
-    int_text = int.__repr__
-
-    def emit(value, depth):
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int_text(value))
-        elif isinstance(value, (list, tuple, dict)):
-            is_dict = isinstance(value, dict)
-            if not value:
-                append("{}" if is_dict else "[]")
-                return
-            inner = depth + 1
-            if inner == len(breaks):
-                breaks.append(breaks[-1] + "  ")
-                commas.append(commas[-1] + "  ")
-            comma = commas[inner]
-            append("{" if is_dict else "[")
-            first = len(parts)
-            for item in value.items() if is_dict else value:
-                append(comma)
-                if is_dict:
-                    key, item = item
-                    append(keys[key])
-                # strings and integers, most of a report, are written without a call
-                kind = type(item)
-                if kind is str:
-                    append(encode_basestring_ascii(item))
-                elif kind is int:
-                    append(int_text(item))
-                else:
-                    emit(item, inner)
-            parts[first] = breaks[inner]  # no comma before the first item
-            append(breaks[depth])
-            append("}" if is_dict else "]")
-        elif isinstance(value, SolutionSet):
-            # a list of solution entries, written as their texts at the entries' depth
-            if not value:
-                append("[]")
-                return
-            pad = "\n" + "  " * (depth + 1)
-            append("[" + pad)
-            append(("," + pad).join(value.entry_texts(depth + 1)))
-            append(breaks[depth] + "]")
-        else:
-            # any other number, or json's TypeError for what it cannot encode
-            append(json.dumps(value))
-
-    emit(value, 0)
-    return "".join(parts)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, SolutionSet):
+        if not value:
+            return "[]"
+        brackets, items = "[]", value.entry_texts(depth + 1)
+    elif isinstance(value, dict) and value:
+        brackets = "{}"
+        items = [_key_text(k) + ": " + _json_text(v, depth + 1) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        brackets, items = "[]", [_json_text(v, depth + 1) for v in value]
+    else:
+        return json.dumps(value)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
 def run(argv) -> int:

@@ -36,8 +36,11 @@ class Equation:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", Word(self.lhs))
-        object.__setattr__(self, "rhs", Word(self.rhs))
+        # a Word side's letters are checked already; any other side is checked here
+        if not isinstance(self.lhs, Word):
+            object.__setattr__(self, "lhs", Word(self.lhs))
+        if not isinstance(self.rhs, Word):
+            object.__setattr__(self, "rhs", Word(self.rhs))
         if self.n < 1:
             raise ValueError("an equation needs at least one unknown")
         for x in (*self.lhs, *self.rhs):
@@ -346,9 +349,10 @@ def parse_system(text: str):
                 col = raw.find(token) + 1
                 raise InputFormatError(f"line {lineno}, column {col}: {exc}") from None
 
-        lhs = tuple(resolve(t) for t in left)
-        rhs = tuple(resolve(t) for t in right)
-        if max(lhs + rhs, default=1) > n:
+        # resolved indices are at least 1, and the check below bounds them by n
+        lhs = Word._trusted(resolve(t) for t in left)
+        rhs = Word._trusted(resolve(t) for t in right)
+        if max((*lhs, *rhs), default=1) > n:
             raise InputFormatError(f"line {lineno}: unknown index exceeds declared count")
         equations.append(Equation(lhs, rhs, n))
     return equations, names

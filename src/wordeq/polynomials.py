@@ -173,8 +173,6 @@ class IntPolynomial(SparsePoly):
     def _power_text(d) -> str:
         return "" if d == 0 else "X" if d == 1 else f"X^{d}"
 
-    items = SparsePoly.terms
-
     @staticmethod
     def one() -> "IntPolynomial":
         return IntPolynomial({0: 1})

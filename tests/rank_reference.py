@@ -36,7 +36,7 @@ def rank_by_evaluation(matrix: PolyMatrix, point: int) -> int:
 
 
 def _pivot_weight(p: IntPolynomial):
-    terms = p.items()
+    terms = p.terms()
     return (p.degree, len(terms), sum(abs(c) for _, c in terms))
 
 
@@ -56,7 +56,7 @@ def symbolic_rank(matrix: PolyMatrix) -> int:
             g = gcd(g, content(p))
         if g > 1:
             for j, p in enumerate(r):
-                r[j] = IntPolynomial({d: c // g for d, c in p.items()})
+                r[j] = IntPolynomial({d: c // g for d, c in p.terms()})
     ncols = matrix.cols
     rank = 0
     col_of = list(range(ncols))
@@ -92,7 +92,7 @@ def symbolic_rank(matrix: PolyMatrix) -> int:
                 for p in new:
                     g = gcd(g, content(p))
                 if g > 1:
-                    new = [IntPolynomial({d: cc // g for d, cc in p.items()}) for p in new]
+                    new = [IntPolynomial({d: cc // g for d, cc in p.terms()}) for p in new]
             if any(not p.is_zero for p in new):
                 filled = [IntPolynomial()] * ncols
                 for j, p in zip(range(rank + 1, ncols), new):

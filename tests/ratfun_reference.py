@@ -17,14 +17,14 @@ from wordeq.polynomials import _coeff_list, _reduce, exact_div
 
 def content(p: IntPolynomial) -> int:
     """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-    return gcd(*(c for _, c in p.items()))
+    return gcd(*(c for _, c in p.terms()))
 
 
 def primitive_part(p: IntPolynomial) -> IntPolynomial:
     g = content(p)
     if g <= 1:
         return p
-    return IntPolynomial({d: c // g for d, c in p.items()})
+    return IntPolynomial({d: c // g for d, c in p.terms()})
 
 
 def pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -86,8 +86,8 @@ def reduce(numerator: IntPolynomial, denominator: IntPolynomial) -> RationalFunc
         denominator = exact_div(denominator, g)
     c = gcd(content(numerator), content(denominator))
     if c > 1:
-        numerator = IntPolynomial({d: v // c for d, v in numerator.items()})
-        denominator = IntPolynomial({d: v // c for d, v in denominator.items()})
+        numerator = IntPolynomial({d: v // c for d, v in numerator.terms()})
+        denominator = IntPolynomial({d: v // c for d, v in denominator.terms()})
     if denominator.leading_coefficient < 0:
         numerator, denominator = -numerator, -denominator
     return RationalFunction(numerator, denominator)

@@ -150,6 +150,18 @@ class TestExitCodes:
         assert code == 1
         assert "input error" in err
 
+    @pytest.mark.parametrize("name", ["missing", "empty", "directory", "through-a-file"])
+    def test_unreadable_path_message(self, name, tmp_path):
+        (tmp_path / "file.txt").write_text("x = x\n")
+        path, expected = {
+            "missing": (tmp_path / "missing.txt", "no such file: {}"),
+            "empty": ("", "no such file: {}"),
+            "directory": (tmp_path, "[Errno 21] Is a directory: '{}'"),
+            "through-a-file": (tmp_path / "file.txt" / "x", "no such file: {}"),
+        }[name]
+        code, out, err = invoke(["eq", "rank", str(path), "--lengths", "1"])
+        assert (code, out, err) == (1, "", f"input error: {expected.format(path)}\n")
+
     def test_malformed_equation_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("x y = y x\nx y y x\n")

@@ -54,6 +54,10 @@ class TestEquation:
         with pytest.raises(ValueError):
             Equation((1, 4), (2,), 3)
 
+    def test_zero_unknown_rejected(self):
+        with pytest.raises(ValueError):
+            Equation((0,), (1,), 1)
+
     def test_bool_unknown_rejected(self):
         # bool is an int subclass, so True would pass for the unknown 1
         with pytest.raises(ValueError):
@@ -467,6 +471,23 @@ class TestParsing:
         assert eq.n == 2
         with pytest.raises(InputFormatError):
             parse_equation("x y = y x\ny x = x y")
+
+    @pytest.mark.parametrize("style", ["declared", "indexed", "mixed"])
+    def test_parsed_sides_equal_checked_words(self, style):
+        # parse_system builds its sides unchecked; they must equal the checked constructors' result
+        rng = random.Random(f"parse-{style}")
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            system = [random_equation(rng, n) for _ in range(rng.randint(1, 4))]
+            names = [f"x{i}" for i in range(1, n + 1)] if style == "indexed" else list("abcde"[:n])
+            token = (lambda x: f"x{x}") if style == "mixed" else (lambda x: names[x - 1])
+            lines = [f"unknowns: {' '.join(names)}"] + [
+                " = ".join(" ".join(map(token, side)) or "eps" for side in (e.lhs, e.rhs))
+                for e in system
+            ]
+            parsed, _ = parse_system("\n".join(lines))
+            assert parsed == [Equation(Word(tuple(e.lhs)), Word(tuple(e.rhs)), n) for e in system]
+            assert all(type(side) is Word for e in parsed for side in (e.lhs, e.rhs))
 
     def test_round_trip(self):
         eqlist, names = parse_system("unknowns: x y z\nx y z = z x y\nx x = y")

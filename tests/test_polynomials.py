@@ -125,7 +125,7 @@ class TestCyclotomic:
     def test_known_values(self):
         assert cyclotomic(1) == P("-1 + X")
         assert cyclotomic(6) == P("1 - X + X^2")
-        assert min(c for _, c in cyclotomic(105).items()) == -2
+        assert min(c for _, c in cyclotomic(105).terms()) == -2
 
 
 class TestEncode:
