@@ -28,7 +28,8 @@ from .words import (
 )
 
 # candidates one enumeration may test, and letters one power identity check may build:
-# a larger budget is refused before any work
+# a larger budget is refused before any work; also the solution images one enumeration
+# may list, and the length types times unknowns one independence probe may walk
 MAX_CANDIDATES = 10**6
 
 
@@ -118,11 +119,6 @@ class _Quoted(dict):
         return text
 
 
-def _literal(text: str) -> str:
-    """Text for a ``str.format`` template that writes it unchanged."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
 class _Block(NamedTuple):
     """The solutions of one length type: its class assignments in image order, with their ranks."""
 
@@ -183,11 +179,14 @@ class SolutionSet:
         at a depth it is what ``json.dumps(..., indent=2)`` writes for the
         entry nested that deep.  Word texts hold only digits, commas,
         brackets and "eps", so quoting needs no escapes.  Over letters 1-9
-        a word's text is its letters' digits, so each block is written
-        from one ``str.format`` template per rank, whose field at each
-        image position names that position's class; over an alphabet with
-        a letter of 10 or more each distinct word is quoted once.  Given
-        ``stop``, only the first ``stop`` solutions are written.
+        a word's text is its letters' digits, so each block is written from
+        one template whose image positions hold a token naming their class;
+        the classes are substituted one at a time, each string followed by
+        one copy per letter, which lists the block's whole product in image
+        order, and a block narrowed to some ranks keeps the entries its
+        assignments select.  Over an alphabet with a letter of 10 or more
+        each distinct word is quoted once.  Given ``stop``, only the first
+        ``stop`` solutions are written.
         """
         if depth is None:
             sep, head, middle, tail, close = ", ", '{"images": [', '], "length_type": [', '], "rank": ', "}"
@@ -199,7 +198,10 @@ class SolutionSet:
             middle = key + "]," + key + '"length_type": [' + key + "  "
             tail = key + "]," + key + '"rank": '
             close = outer + "}"
-        digits = max(self.budget.alphabet) <= 9
+        alphabet, size = self.budget.alphabet, len(self.budget.alphabet)
+        digits = max(alphabet) <= 9
+        letters = [str(a) for a in alphabet]
+        place = {a: i for i, a in enumerate(alphabet)}
         quote = _Quoted().__getitem__
         texts = []
         for b in self.blocks:
@@ -207,18 +209,29 @@ class SolutionSet:
             if room == 0:
                 break
             rest = middle + sep.join(map(str, b.lt)) + tail
-            pairs = zip(b.assignments[:room], b.ranks)
-            if digits:
-                # an image's text is the digits of its classes' letters, one field per position
-                images = _literal(sep).join(
-                    '"' + "".join(f"{{{c}}}" for c in run) + '"' if run else '"eps"' for run in b.record.runs
-                )
-                formats = {rank: (_literal(head) + images + _literal(rest + str(rank) + close)).format
-                           for rank in set(b.ranks)}
-                texts += [formats[rank](*a) for a, rank in pairs]
-            else:
+            if not digits:
                 texts += [head + sep.join(map(quote, b.record.images(a))) + rest + str(rank) + close
-                          for a, rank in pairs]
+                          for a, rank in zip(b.assignments[:room], b.ranks)]
+                continue
+            ranks = b.ranks[:room]
+            picks = None
+            if len(b.assignments) < size**b.record.count:
+                # narrowed by rank: each kept assignment's place in the record's whole product
+                picks = [sum(place[x] * size**k for k, x in enumerate(reversed(a)))
+                         for a in b.assignments[:room]]
+                room = picks[-1] + 1
+            # a token opens and closes with different characters, so a letter between two tokens forms none
+            template = head + sep.join(
+                '"' + "".join(f"\x01{c}\x02" for c in run) + '"' if run else '"eps"' for run in b.record.runs
+            ) + rest
+            fixed = len(set(ranks)) == 1
+            strings = [template + str(ranks[0]) + close if fixed else template]
+            for c in range(b.record.count):
+                token = f"\x01{c}\x02"
+                strings = [s.replace(token, letter) for s in strings for letter in letters][:room]
+            if picks is not None:
+                strings = [strings[i] for i in picks]
+            texts += strings if fixed else [s + str(rank) + close for s, rank in zip(strings, ranks)]
         return texts
 
     def to_json_lines(self) -> str:
@@ -266,20 +279,28 @@ def solutions_of_length_type(system, lt, alphabet, pools=None):
 
 def merge_classes(size: int, pairs) -> list[int]:
     """Block of each of 0 .. size - 1 once every pair is joined, numbered by least member."""
+    # every root is the least member of its block, so a member's parent never lies after it
     parent = list(range(size))
-
-    def find(p):
+    for p, q in pairs:
         while parent[p] != p:
             parent[p] = parent[parent[p]]
             p = parent[p]
-        return p
-
-    for p, q in pairs:
-        p, q = find(p), find(q)
-        if p != q:
-            parent[max(p, q)] = min(p, q)
-    number = {}
-    return [number.setdefault(find(p), len(number)) for p in range(size)]
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        if p < q:
+            parent[q] = p
+        elif q < p:
+            parent[p] = q
+    # numbered in one forward pass: a member's parent comes before it, so is numbered already
+    count = 0
+    for p in range(size):
+        if parent[p] == p:
+            parent[p] = count
+            count += 1
+        else:
+            parent[p] = parent[parent[p]]
+    return parent
 
 
 @dataclass(frozen=True)
@@ -357,25 +378,23 @@ class LengthTypeRecord:
 
 def length_type_record(system, lt) -> LengthTypeRecord | None:
     """The system's record at length type lt; None when some equation's sides differ in length there."""
-    length = (0, *lt).__getitem__  # length(x): the image length of x_x
-    for eq in system:
-        if sum(map(length, eq.lhs)) != sum(map(length, eq.rhs)):
-            return None
     runs, end = [], 0
     for k in lt:
         runs.append(range(end, end + k))
         end += k
-
-    def positions(side):
-        return [p for x in side for p in runs[x - 1]]
-
     # the two sides of an equation align their positions one by one
-    pairs = [pair for eq in system for pair in zip(positions(eq.lhs), positions(eq.rhs))]
+    pairs = []
+    for eq in system:
+        left = [p for x in eq.lhs for p in runs[x - 1]]
+        right = [p for x in eq.rhs for p in runs[x - 1]]
+        if len(left) != len(right):
+            return None
+        pairs += zip(left, right)
     classes = merge_classes(end, pairs)
     return LengthTypeRecord(
         classes=tuple(classes),
-        count=len(set(classes)),
-        runs=tuple(tuple(classes[p] for p in run) for run in runs),
+        count=max(classes, default=-1) + 1,
+        runs=tuple(tuple(classes[run.start:run.stop]) for run in runs),
         step=gcd(*lt),
     )
 
@@ -398,7 +417,8 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
     assignments of its position classes, so they are listed, not found by
     a scan; every length type still counts its full candidate set as
     visited.  A budget of more than MAX_CANDIDATES candidates is refused
-    up front.
+    up front, and the listing stops with a ValueError once its solutions
+    hold more than MAX_CANDIDATES images in all.
     """
     system = tuple(system)
     if system:
@@ -407,10 +427,14 @@ def enumerate_solutions(system, budget: EnumerationBudget, n: int | None = None)
         raise ValueError("an empty system needs an explicit unknown count")
     visited = budget_candidates(n, budget)
     blocks = []
+    listed = 0
     # the budget's alphabet is sorted and classes are numbered by first position,
     # so each block lists its assignments in image order, and the length types come in report order
     for lt in balanced_length_types(system, n, budget.max_total_length):
         record = length_type_record(system, lt)
+        listed += len(budget.alphabet) ** record.count * n
+        if listed > MAX_CANDIDATES:
+            raise ValueError(f"the budget lists more than {MAX_CANDIDATES} solution images")
         assignments = tuple(itertools.product(budget.alphabet, repeat=record.count))
         r = record.generic_rank
         ranks = (r,) * len(assignments) if r <= 1 else tuple(map(record.solution_rank, assignments))
@@ -422,14 +446,18 @@ def _first_separating_morphism(subsystem, omitted: Equation, budget, n: int):
     """First morphism within budget solving the subsystem but not the omitted equation.
 
     Raises once the length types reached hold more than MAX_CANDIDATES
-    candidates; a witness found earlier ends the probe first.
+    candidates, or once they number more than MAX_CANDIDATES over n; a
+    witness found earlier ends the probe first.
     """
     pools = _WordPools(budget.alphabet)
     visited = 0
-    for lt in length_types_up_to(n, budget.max_total_length):
+    for walked, lt in enumerate(length_types_up_to(n, budget.max_total_length), 1):
         visited += len(budget.alphabet) ** sum(lt)
         if visited > MAX_CANDIDATES:
             raise ValueError(f"the probe passed {MAX_CANDIDATES} candidates without a witness")
+        if walked * n > MAX_CANDIDATES:
+            raise ValueError(f"the probe walked {walked} length types of {n} unknowns without a witness, "
+                             f"more than {MAX_CANDIDATES} image lengths")
         for images in solutions_of_length_type(subsystem, lt, budget.alphabet, pools):
             if not omitted.solved_by(images):
                 return Morphism._trusted(images)

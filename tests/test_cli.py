@@ -18,6 +18,8 @@ from wordeq.cli import _GROUPS, COMMANDS, _human_lines, _json_text, _Parser, run
 from wordeq.polynomials import IntPolynomial
 from wordeq.words import _minimal_factor_cover
 
+from conftest import random_equation
+
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = json.loads((ROOT / "recipes" / "recipes.json").read_text())
 
@@ -223,6 +225,25 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"letters, more than {oracle.MAX_CANDIDATES}" in err
+
+    def test_listing_past_the_image_bound_is_input_error(self, tmp_path):
+        # 20 unknowns over one letter: 888,030 candidates pass the budget, but
+        # 230,230 solutions of 20 images each would be listed
+        f = tmp_path / "system.txt"
+        f.write_text("x1 x2 = x2 x1\nx20 = x20\n")
+        code, out, err = invoke(["--json", "system", "enumerate", str(f), "--alphabet", "1", "--max-total", "6"])
+        assert code == 1
+        assert out == ""
+        assert f"the budget lists more than {oracle.MAX_CANDIDATES} solution images" in err
+
+    def test_probe_past_the_type_bound_is_input_error(self, tmp_path):
+        # 99 unknowns over one letter: a type holds one candidate, so only the types walked bound the probe
+        f = tmp_path / "system.txt"
+        f.write_text("x1 x2 = x2 x1\nx1 = x99\n")
+        code, out, err = invoke(["--json", "system", "independent", str(f), "--alphabet", "1"])
+        assert code == 1
+        assert out == ""
+        assert "input error: the probe walked 10102 length types of 99 unknowns without a witness" in err
 
     def test_unknown_flag(self):
         code, _, err = invoke(["encode", "--frobnicate", "1"])
@@ -530,6 +551,63 @@ class TestSolutionEntries:
         # the human report of the same results, its elapsed time aside
         expected = "\n".join(_human_lines(report)[:-1]) + "\nelapsed_ms: "
         assert text[:text.rindex("elapsed_ms: ") + 12] == expected
+
+
+class TestEntryTextsOnSeededSystems:
+    """entry_texts against json.dumps of the dict entries, over seeded systems, views, depths and stops."""
+
+    ALPHABETS = ((1,), (1, 2), (1, 2, 3), (2, 9), (2, 10))
+
+    @staticmethod
+    def assert_texts_match(sols):
+        entries = dict_entries(sols)
+        for depth in (None, 0, 1, 2, 3):
+            if depth is None:
+                expected = [json.dumps(entry) for entry in entries]
+            else:
+                # an entry nested depth levels deep: every line after its first is indented that much more
+                expected = [json.dumps(entry, indent=2).replace("\n", "\n" + "  " * depth) for entry in entries]
+            for stop in (None, 0, 1, 5, 20):
+                assert sols.entry_texts(depth, stop) == expected[:stop], (sols.system, depth, stop)
+
+    def test_views_of_seeded_systems(self):
+        rng = random.Random(2819)
+        seen = set()
+        for trial in range(150):
+            alphabet = self.ALPHABETS[trial % len(self.ALPHABETS)]
+            n = rng.randint(1, 4)
+            system = [random_equation(rng, n) for _ in range(rng.randint(1, 2))]
+            sols = enumerate_solutions(system, EnumerationBudget(alphabet, rng.randint(0, 4)))
+            views = [sols, *(sols.of_rank(r) for r in range(4)), sols.of_length_type(rng.choice(sols.blocks).lt)]
+            for view in views:
+                self.assert_texts_match(view)
+            features = {
+                "eps image": any(not all(b.lt) for b in sols.blocks),
+                "all-zero type": any(not any(b.lt) for b in sols.blocks),
+                "ranks differ in a block": any(len(set(b.ranks)) > 1 for b in sols.blocks),
+                "narrowed block": any(len(b.assignments) < len(alphabet) ** b.record.count
+                                      for view in views for b in view.blocks),
+            }
+            seen.update(name for name, present in features.items() if present)
+        assert seen == {"eps image", "all-zero type", "ranks differ in a block", "narrowed block"}
+
+    def test_blocks_of_ten_or_more_classes(self):
+        # two-digit class tokens: a token for class 1 must not match inside one for class 10 or more
+        [swapped], _ = wordeq.cli.parse_system("x1 x2 x3 = x1 x3 x2\n")
+        for system, n, alphabet, top in (([], 1, (1, 2), 10), ([], 2, (1,), 12), ([swapped], 3, (1,), 14)):
+            sols = enumerate_solutions(system, EnumerationBudget(alphabet, top), n=n)
+            assert max(b.record.count for b in sols.blocks) >= 10
+            for view in (sols, sols.of_rank(1), sols.of_rank(2)):
+                self.assert_texts_match(view)
+
+    def test_rendered_without_the_traced_product(self, monkeypatch):
+        # perfbench's tracer swaps oracle.itertools for a counting product: rendering must not call it
+        [cycle], _ = wordeq.cli.parse_system("x y z = z x y\n")
+        sols = enumerate_solutions([cycle], EnumerationBudget((1, 2), 6))
+        views = [sols, sols.of_rank(1), sols.of_rank(2)]
+        expected = [view.entry_texts(2) for view in views]
+        monkeypatch.setattr(oracle, "itertools", None)
+        assert [view.entry_texts(2) for view in views] == expected
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -27,6 +27,7 @@ from wordeq import (
 )
 from wordeq.oracle import length_type_record, length_types_up_to, solutions_of_length_type
 
+import record_reference
 from conftest import eq1, morphism, random_equation
 
 
@@ -444,6 +445,29 @@ class TestPositionClasses:
                     for a in itertools.product(alphabet, repeat=record.count)
                 ]
                 assert listed == scanned, (system, lt)
+
+
+class TestRecordMatchesReference:
+    """The one-walk record and the iterative union-find against their slow twins."""
+
+    def test_merge_classes(self):
+        rng = random.Random(4409)
+        for _ in range(600):
+            size = rng.randint(0, 40)
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, size))]
+            assert oracle.merge_classes(size, pairs) == record_reference.merge_classes(size, pairs), pairs
+
+    def test_length_type_record(self):
+        rng = random.Random(4421)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            system = [random_equation(rng, n) for _ in range(rng.randint(0, 3))]
+            for lt in length_types_up_to(n, 5):
+                record = length_type_record(system, lt)
+                assert record == record_reference.length_type_record(system, lt), (system, lt)
+                seen.add(record is None)
+        assert seen == {False, True}
 
 
 class TestGenericSolution:
