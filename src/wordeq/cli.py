@@ -361,7 +361,7 @@ def _system_enumerate(args, out):
     sols = enumerate_solutions(eqs, budget)
     if lt is not None:
         sols = sols.of_length_type(lt)
-        out.inputs["lengths"] = args.lengths
+        out.inputs["lengths"] = list(lt)
     if args.rank is not None:
         sols = sols.of_rank(args.rank)
         out.inputs["rank"] = args.rank

@@ -99,8 +99,10 @@ class GenPoly(SparsePoly):
         return "" if form.is_zero else f"X^{{{form.to_text()}}}"
 
     @staticmethod
-    def zero(n: int) -> "GenPoly":
-        return GenPoly(n)
+    def _power_of_text(power: str, n: int) -> LinForm:
+        if power and not power.startswith("X^{"):
+            raise InputFormatError(f"a generalized polynomial's power is X^{{form}}, got {power!r}")
+        return parse_linform(power[3:-1], n)
 
     @property
     def term_count(self) -> int:
@@ -185,7 +187,6 @@ def iso_multivariate(g: GenPoly) -> MultiPoly:
 
 # --- text format ----------------------------------------------------------
 
-_GP_TERM = re.compile(r"^(\d+)?(?:X\^\{([^}]*)\})?$")
 _FORM_PART = re.compile(r"^(\d+)?X(\d+)$")
 
 
@@ -206,53 +207,6 @@ def parse_linform(text: str, n: int) -> LinForm:
     return LinForm(coeffs)
 
 
-def _split_signed_terms(text: str):
-    """Signed top-level chunks; plus and minus inside braces do not split."""
-    out = []
-    i, size = 0, len(text)
-    while i < size:
-        while i < size and text[i].isspace():
-            i += 1
-        sign = 1
-        if i < size and text[i] in "+-":
-            sign = 1 if text[i] == "+" else -1
-            i += 1
-            while i < size and text[i].isspace():
-                i += 1
-        start, depth = i, 0
-        while i < size:
-            ch = text[i]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    raise InputFormatError("unbalanced braces")
-            elif ch in "+-" and depth == 0:
-                break
-            i += 1
-        if depth != 0:
-            raise InputFormatError("unbalanced braces")
-        term = text[start:i].strip()
-        if not term:
-            raise InputFormatError("dangling sign in generalized polynomial")
-        out.append((sign, term))
-    return out
-
-
 def parse_genpoly(text: str, n: int) -> GenPoly:
     """Parse the rendering produced by GenPoly.to_text."""
-    text = text.replace("−", "-").strip()
-    if not text:
-        raise InputFormatError("empty generalized polynomial text")
-    if text == "0":
-        return GenPoly.zero(n)
-    terms: list[tuple[LinForm, int]] = []
-    for sign, chunk in _split_signed_terms(text):
-        m = _GP_TERM.match(chunk.replace(" ", ""))
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise InputFormatError(f"cannot parse term {chunk!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        form = parse_linform(m.group(2), n) if m.group(2) is not None else zero_form(n)
-        terms.append((form, sign * coeff))
-    return GenPoly(n, terms)
+    return GenPoly(n, GenPoly._terms_of_text(text, n))

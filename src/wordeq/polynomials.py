@@ -21,6 +21,12 @@ from math import gcd
 from .errors import InputFormatError, TheoremCheckError
 from .words import Word, primitive_root
 
+# one signed term of the text SparsePoly.to_text writes: a sign (optional on
+# the first term only), coefficient digits and a power X, X^d or X^{form}; a
+# braced form is taken whole and holds no sign but "+", so every sign outside
+# braces starts a term
+_TERM = re.compile(r"([+-]?)(\d*)(X(?:\^(?:\d+|\{[^}]*\}))?)?")
+
 
 class SparsePoly:
     """Immutable sparse polynomial: a map exponent -> nonzero integer coefficient.
@@ -29,11 +35,11 @@ class SparsePoly:
     (IntPolynomial), a linear form in the unknown lengths (GenPoly) or an
     exponent tuple (MultiPoly).  Exponents add with ``+`` and terms are
     ordered by exponent, so a subclass only says how an exponent is
-    checked and how a power is written; sums, products, equality and
-    rendering live here.  ``n`` counts the unknowns, and operands over
-    different counts are rejected.  Instances are immutable: ``n`` is a
-    read-only property, the term map is private and there is no
-    ``__dict__``, so results can be shared freely.
+    checked and how a power is written and read; sums, products, equality,
+    rendering and reading live here.  ``n`` counts the unknowns, and
+    operands over different counts are rejected.  Instances are
+    immutable: ``n`` is a read-only property, the term map is private and
+    there is no ``__dict__``, so results can be shared freely.
     """
 
     __slots__ = ("_n", "_terms")
@@ -52,7 +58,7 @@ class SparsePoly:
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             if exponent:
                 e = exponent(e)
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(f"coefficients must be integers, got {c!r}")
             s = out.get(e, 0) + c
             if s:
@@ -144,6 +150,27 @@ class SparsePoly:
                 parts.append(body if c > 0 else f"-{body}")
         return " ".join(parts) or "0"
 
+    @classmethod
+    def _terms_of_text(cls, text: str, n: int) -> list:
+        """(exponent, coefficient) pairs of a to_text rendering over n unknowns.
+
+        The one reader of the signed-term text: "−" reads as "-", spaces are
+        dropped, and each term's power is read by the subclass's
+        ``_power_of_text``.  Malformed text raises InputFormatError.
+        """
+        text = text.replace("−", "-").replace(" ", "")
+        if not text:
+            raise InputFormatError("empty polynomial text")
+        terms, pos = [], 0
+        while pos < len(text):
+            m = _TERM.match(text, pos)
+            sign, digits, power = m.groups("")
+            if not (digits or power) or not (sign or pos == 0):
+                raise InputFormatError(f"cannot parse polynomial term at {text[pos:]!r}")
+            terms.append((cls._power_of_text(power, n), int(sign + (digits or "1"))))
+            pos = m.end()
+        return terms
+
     def __str__(self):
         return self.to_text()
 
@@ -165,13 +192,19 @@ class IntPolynomial(SparsePoly):
 
     @staticmethod
     def _exponent(deg):
-        if not isinstance(deg, int) or deg < 0:
+        if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
             raise ValueError(f"degrees must be nonnegative integers, got {deg!r}")
         return deg
 
     @staticmethod
     def _power_text(d) -> str:
         return "" if d == 0 else "X" if d == 1 else f"X^{d}"
+
+    @staticmethod
+    def _power_of_text(power: str, n: int) -> int:
+        if "{" in power:
+            raise InputFormatError(f"an integer polynomial's power is X or X^d, got {power!r}")
+        return 0 if not power else 1 if power == "X" else int(power[2:])
 
     @staticmethod
     def one() -> "IntPolynomial":
@@ -195,41 +228,9 @@ class IntPolynomial(SparsePoly):
         return sum(c * x**d for d, c in self._terms.items())
 
 
-_TERM_RE = re.compile(r"^(\d+)?\s*(X(?:\^(\d+))?)?$")
-
-
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse the rendering produced by IntPolynomial.to_text."""
-    text = text.replace("−", "-").strip()
-    if not text:
-        raise InputFormatError("empty polynomial text")
-    if text == "0":
-        return IntPolynomial()
-    # split into signed terms at top level
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    terms = []
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        body = chunk
-        if body[0] == "+":
-            body = body[1:]
-        elif body[0] == "-":
-            sign = -1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise InputFormatError(f"cannot parse polynomial term {chunk!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            deg = 0
-        elif m.group(3) is None:
-            deg = 1
-        else:
-            deg = int(m.group(3))
-        terms.append((deg, sign * coeff))
-    return IntPolynomial(terms)
+    return IntPolynomial(IntPolynomial._terms_of_text(text, 1))
 
 
 def _coeff_list(p: IntPolynomial) -> list:
@@ -327,7 +328,8 @@ class RationalFunction:
 
 def encode_poly(w: Word) -> IntPolynomial:
     """Polynomial encoding: letter at position k becomes the X^k coefficient."""
-    return IntPolynomial({k: a for k, a in enumerate(w)})
+    # a Word's letters are positive integers, so no term needs checking
+    return IntPolynomial._new(1, dict(enumerate(w)))
 
 
 def _cyclotomic_orders(w: Word) -> dict:

@@ -208,6 +208,16 @@ class TestExitCodes:
             assert out == ""
             assert "length type size does not match the unknown count" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eq", "coeffs", "recipes/inputs/cycle.txt"],
+        ["eq", "rank", "recipes/inputs/cycle.txt"],
+        ["system", "enumerate", "recipes/inputs/cycle.txt", "--max-total", "4"],
+    ], ids=["coeffs", "rank", "enumerate"])
+    def test_lengths_echoed_as_parsed(self, argv):
+        # every command echoes the length type it read, not the text it was given
+        report = invoke_json(["--json", *argv, "--lengths", "1,01,2"])
+        assert report["inputs"]["lengths"] == [1, 1, 2]
+
     def test_rank_search_past_the_state_bound_is_input_error(self, monkeypatch):
         monkeypatch.setattr(words, "MAX_RANK_STATES", 5)
         _minimal_factor_cover.cache_clear()

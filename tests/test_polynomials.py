@@ -5,13 +5,16 @@ import pytest
 
 from wordeq import (
     GenPoly,
+    InputFormatError,
     IntPolynomial,
+    LinForm,
     MultiPoly,
     TheoremCheckError,
     Word,
     encode_poly,
     encode_ratfun,
     fine_wilf_check,
+    parse_genpoly,
     parse_polynomial,
     parse_word,
     primdiv_check,
@@ -19,6 +22,7 @@ from wordeq import (
 )
 from wordeq.polynomials import cyclotomic, exact_div, x_power_minus_one
 
+import polytext_reference
 from ratfun_reference import divides, parse_rational, poly_gcd, power_sum, pseudo_rem, reduce
 
 
@@ -34,6 +38,15 @@ class TestIntPolynomial:
     def test_no_zero_coefficients_stored(self):
         p = IntPolynomial({0: 1, 2: 0})
         assert p == IntPolynomial({0: 1})
+
+    def test_bool_degrees_and_coefficients_rejected(self):
+        # as Word, LengthType and LinForm reject them
+        with pytest.raises(ValueError, match="degrees must be nonnegative integers"):
+            IntPolynomial({True: 1})
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            IntPolynomial({0: True})
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            GenPoly(2, [(LinForm((0, 1)), False)])
 
     def test_arithmetic(self):
         a, b = P("1 + X"), P("1 - X")
@@ -101,6 +114,63 @@ class TestIntPolynomial:
             while r.degree >= b.degree:
                 r = r * b.leading_coefficient - b.shift(r.degree - b.degree) * r.leading_coefficient
             assert pseudo_rem(a, b) == r
+
+
+_TEXT_CHARS = list("X^{}+-−0123 1") + ["X1", "X2", "X3", "X4"]
+
+
+def _poly_text(rng) -> str:
+    """A seeded string over the characters of the text format, often but not always well formed."""
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.2:
+            parts.append(rng.choice(_TEXT_CHARS))
+            continue
+        parts.append(rng.choice(["", "+", "-", "−", " + ", " - "] if parts else ["", "", "+", "-"]))
+        parts.append(rng.choice(["", "1", "2", "3", "10", "0"]))
+        form = "+".join(rng.choice(["X1", "X2", "2X3", "X4", "0", ""]) for _ in range(rng.randint(1, 2)))
+        parts.append("X^{" + form + "}" if rng.random() < 0.4 else rng.choice(["", "X", "X^2", "X^13"]))
+    return "".join(parts)
+
+
+_READERS = {
+    "int": (parse_polynomial, polytext_reference.parse_polynomial),
+    "gen": (lambda text: parse_genpoly(text, 3), lambda text: polytext_reference.parse_genpoly(text, 3)),
+}
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except InputFormatError:
+        return None
+
+
+class TestTextReader:
+    @pytest.mark.parametrize("kind", sorted(_READERS))
+    def test_matches_the_reference_reader_on_seeded_strings(self, kind):
+        new, old = _READERS[kind]
+        rng = random.Random(29)
+        read = 0
+        for _ in range(20_000):
+            text = _poly_text(rng)
+            value = _read(new, text)
+            assert value == _read(old, text), text
+            read += value is not None
+        # both outcomes occur often
+        assert 1_000 < read < 19_000
+
+    @pytest.mark.parametrize("text, kinds", [
+        *[(text, ("int", "gen")) for text in
+          ["", " ", "+", "1 +", "X^", "2X3", "X^{X1", "X^{X1}}", "X^{-X1}", "X^{X4}", "1e5"]],
+        ("X^{X1}", ("int",)),
+        ("X^2", ("gen",)),
+    ])
+    def test_malformed_text_refused(self, text, kinds):
+        for kind in kinds:
+            for reader in _READERS[kind]:
+                with pytest.raises(InputFormatError):
+                    reader(text)
 
 
 class TestCyclotomic:
