@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from functools import cached_property
@@ -43,6 +44,7 @@ from .transforms import factorize_solution
 from .words import (
     LengthType,
     commute_check,
+    parse_digits,
     parse_morphism,
     parse_word,
     primitive_root,
@@ -159,11 +161,17 @@ def _read(path: str) -> str:
         raise InputFormatError(f"no such file: {path}") from None
 
 
-def _parse_lengths(text: str, n: int) -> LengthType:
+def _int_list(text: str, what: str) -> list[int]:
+    """The comma-separated decimal numbers of an option's text; ``what`` names it in the error."""
     try:
-        lt = LengthType(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise InputFormatError(f"bad length vector {text!r}: {exc}") from None
+        return [parse_digits(p.strip()) for p in text.split(",")]
+    except InputFormatError as exc:
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise InputFormatError(f"bad {what} {shown!r}: {exc}") from None
+
+
+def _parse_lengths(text: str, n: int) -> LengthType:
+    lt = LengthType(_int_list(text, "length vector"))
     if len(lt) != n:
         raise InputFormatError("length type size does not match the unknown count")
     return lt
@@ -211,10 +219,7 @@ _BUDGET_ARGS = (
 
 def _budget(args, out: _Report) -> EnumerationBudget:
     """The enumeration budget of --alphabet and --max-total, echoed as "budget"."""
-    try:
-        alphabet = tuple(int(p) for p in args.alphabet.split(","))
-    except ValueError:
-        raise InputFormatError(f"bad alphabet {args.alphabet!r}") from None
+    alphabet = tuple(_int_list(args.alphabet, "alphabet"))
     budget = EnumerationBudget(alphabet=alphabet, max_total_length=args.max_total)
     out.inputs["budget"] = budget.describe()
     return budget
@@ -398,7 +403,12 @@ def _chain_check(args, out):
     out.results.update(chain_check(eqs, _budget(args, out)))
 
 
+# a comma outside brackets: no "]" follows it before the next "["
+_SPEC_COMMA = re.compile(r",(?![^\[]*\])")
+
+
 def _parse_powerid_spec(text: str):
+    """The word lists of the keys s, t, u and v, one "key: word, word, ..." line each."""
     parts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -410,7 +420,9 @@ def _parse_powerid_spec(text: str):
         key = key.strip()
         if key not in ("s", "t", "u", "v"):
             raise InputFormatError(f"line {lineno}: unknown key {key!r}")
-        words = [parse_word(w) for w in rest.split(",")] if rest.strip() else []
+        if key in parts:
+            raise InputFormatError(f"line {lineno}: duplicate key {key!r}")
+        words = [parse_word(w) for w in _SPEC_COMMA.split(rest)] if rest.strip() else []
         parts[key] = words
     missing = [k for k in ("s", "t", "u", "v") if k not in parts]
     if missing:
@@ -422,10 +434,7 @@ def _parse_powerid_spec(text: str):
           _arg("specfile"), _arg("--indices", required=True))
 def _powerid(args, out):
     parts = _parse_powerid_spec(_read(args.specfile))
-    try:
-        indices = {int(p) for p in args.indices.split(",")}
-    except ValueError:
-        raise InputFormatError(f"bad index set {args.indices!r}") from None
+    indices = set(_int_list(args.indices, "index set"))
     out.inputs["spec"] = {k: [w.to_text() for w in ws] for k, ws in parts.items()}
     out.inputs["indices"] = sorted(indices)
     out.results.update(

@@ -18,7 +18,7 @@ from .errors import TheoremCheckError
 from .genpoly import GenPoly, LinForm, minor_t, occurrence_forms, s_polynomial
 from .oracle import EnumerationBudget, balanced_length_types, budget_candidates
 from .oracle import enumerate_solutions, length_type_record, merge_classes
-from .words import Morphism, Word, combinatorial_rank, commute_check
+from .words import Morphism, combinatorial_rank, commute_check
 
 
 def _normalized_normal(normal: tuple[int, ...]) -> tuple[int, ...]:
@@ -119,8 +119,8 @@ class CoverError(ValueError):
     """The two equations cannot be separated by any symbolic 2x2 minor."""
 
 
-def _retained_minimal(families, minor: GenPoly, positive: bool) -> list[LinForm]:
-    """Per-family minimal survivors of cancellation.
+def _retained_minimal(families, minor: GenPoly, sign: int) -> list[LinForm]:
+    """Per-family minimal survivors of cancellation whose coefficient has the given sign.
 
     Each family pairs one occurrence chain against another; for a fixed
     element of the first chain the earliest partner whose combined form
@@ -132,8 +132,7 @@ def _retained_minimal(families, minor: GenPoly, positive: bool) -> list[LinForm]
         for f in first:
             for g in second:
                 form = f + g
-                c = minor.coeff(form)
-                if (c > 0) if positive else (c < 0):
+                if minor.coeff(form) * sign > 0:
                     if form not in retained:
                         retained.append(form)
                     break
@@ -153,16 +152,17 @@ def _occurrence_bound(eq: Equation, k: int, l: int) -> int:
 
 def _chosen_pair(eq1: Equation, eq2: Equation) -> tuple[int, int, GenPoly]:
     """The pair (k, l) with a nonzero minor least by (bound, not unit, k, l), and its minor."""
-    unknowns = range(1, eq1.n + 1)
-    s1 = [s_polynomial(eq1, x) for x in unknowns]
-    s2 = [s_polynomial(eq2, x) for x in unknowns]
+    # a minor with an unknown absent from both equations is zero, so only those that occur are walked
+    unknowns = sorted({*eq1.lhs, *eq1.rhs, *eq2.lhs, *eq2.rhs})
+    s1 = {x: s_polynomial(eq1, x) for x in unknowns}
+    s2 = {x: s_polynomial(eq2, x) for x in unknowns}
     pairs = itertools.combinations(unknowns, 2)
     walk = sorted((_occurrence_bound(eq1, k, l), k, l) for k, l in pairs)
     best = None
     for bound, k, l in walk:
         if best is not None and bound > best[0]:
             break
-        t = s1[k - 1] * s2[l - 1] - s1[l - 1] * s2[k - 1]
+        t = s1[k] * s2[l] - s1[l] * s2[k]
         if t.is_zero:
             continue
         if all(abs(c) == 1 for c in t.coefficients()):
@@ -187,8 +187,8 @@ def cover_pair(
     have unit coefficients (they split cleanly into one power per term),
     with lexicographic ties.  The bound depends on eq1 alone, so the pairs
     are walked by (bound, k, l) and minors are formed, from s-polynomials
-    built once per unknown, only within the least bound group that has a
-    nonzero one, up to its first unit minor.  An explicit kl overrides
+    built once per unknown of the pair, only within the least bound group
+    that has a nonzero one, up to its first unit minor.  An explicit kl overrides
     the choice.  The full-pairing variant pairs every surviving positive
     form with every surviving negative form and serves as a trivially
     sound cross-check.
@@ -204,23 +204,19 @@ def cover_pair(
     else:
         k, l, t = _chosen_pair(eq1, eq2)
     bound = _occurrence_bound(eq1, k, l)
-    a = occurrence_forms(eq1.lhs, k, n)
-    a2 = occurrence_forms(eq1.rhs, k, n)
-    c = occurrence_forms(eq1.lhs, l, n)
-    c2 = occurrence_forms(eq1.rhs, l, n)
-    b = occurrence_forms(eq2.lhs, l, n)
-    b2 = occurrence_forms(eq2.rhs, l, n)
-    d = occurrence_forms(eq2.lhs, k, n)
-    d2 = occurrence_forms(eq2.rhs, k, n)
     terms_before = eq1.count(k) * eq2.count(l) + eq1.count(l) * eq2.count(k)
     if full_pairing:
-        pos = [f for f, cc in t.terms() if cc > 0]
-        neg = [f for f, cc in t.terms() if cc < 0]
+        pos, neg = ([f for f, c in t.terms() if c * s > 0] for s in (1, -1))
     else:
-        pos_families = [(a, b), (a2, b2), (c, d2), (c2, d)]
-        neg_families = [(a, b2), (a2, b), (c, d), (c2, d2)]
-        pos = _retained_minimal(pos_families, t, positive=True)
-        neg = _retained_minimal(neg_families, t, positive=False)
+        # t is s1k s2l - s1l s2k: a pair of occurrences takes the sign of its
+        # product there, times -1 for each occurrence on a right side
+        families: dict[int, list] = {1: [], -1: []}
+        for u, v, sign in ((k, l, 1), (l, k, -1)):
+            chains = [[(occurrence_forms(eq.lhs, x, n), 1), (occurrence_forms(eq.rhs, x, n), -1)]
+                      for eq, x in ((eq1, u), (eq2, v))]
+            for (f, s1), (g, s2) in itertools.product(*chains):
+                families[sign * s1 * s2].append((f, g))
+        pos, neg = (_retained_minimal(families[s], t, s) for s in (1, -1))
     # equal planes (same normalized normal) keep the first one built
     planes = list(dict.fromkeys(Hyperplane(p, q) for p in pos for q in neg))
     # only the minimal selection obeys the squared occurrence bound; the
@@ -365,17 +361,26 @@ def graph_lemma_check(system, budget: EnumerationBudget) -> dict:
     }
 
 
-def _form_exponent(lhs, rhs):
-    """Exponent k when the oriented pair looks like x1... = x2^k x3..., else None."""
-    if not lhs or lhs[0] != 1 or not rhs or rhs[0] != 2:
-        return None
-    k = 0
-    for z in rhs:
-        if z == 2:
-            k += 1
-        else:
-            return k if z == 3 else None
-    return None
+def _orientation_shapes(eq: Equation):
+    """(a, b, c, k) for each orientation P = Q of eq with P = a... and Q = b^k c..., a, b, c different."""
+    for p, q in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+        k = next((i for i, z in enumerate(q) if z != q[0]), len(q))
+        if p and k < len(q) and p[0] not in (q[0], q[k]):
+            yield p[0], q[0], q[k], k
+
+
+def _pair_shape(eq1: Equation, eq2: Equation) -> tuple[list[int], int] | None:
+    """The least (renaming, k) that puts both equations in the form x1... = x2^k x3..., or None.
+
+    Both need an orientation a... = b^k c... with the same a, b, c and k; the
+    renaming sends a, b, c to 1, 2, 3 and the others to 4, 5, ... in order.
+    """
+    unknowns = range(1, eq1.n + 1)
+    renamings = []
+    for a, b, c, k in set(_orientation_shapes(eq1)).intersection(_orientation_shapes(eq2)):
+        order = [a, b, c, *(x for x in unknowns if x not in (a, b, c))]
+        renamings.append(([order.index(x) + 1 for x in unknowns], k))
+    return min(renamings, default=None)
 
 
 def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
@@ -383,8 +388,8 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
 
     After renaming the unknowns (and possibly flipping sides of either
     equation) both equations must read x1... = x2^k x3... for one shared
-    k >= 1.  Preconditions that fail make the check inapplicable rather
-    than wrong.
+    k >= 1 (``_pair_shape``).  Preconditions that fail make the check
+    inapplicable rather than wrong.
     """
     n = eq1.n
     if eq1.is_trivial or eq2.is_trivial:
@@ -400,30 +405,15 @@ def pair_form_check(eq1: Equation, eq2: Equation, h: Morphism) -> dict:
     if combinatorial_rank(h) != n - 1:
         return {"applicable": False, "reason": "solution rank is not n-1"}
     if n > 5:
-        return {"applicable": False, "reason": "renaming search capped at 5 unknowns"}
-    for perm in itertools.permutations(range(1, n + 1)):
-        rename = Morphism(Word((new,)) for new in perm)
-        l1, r1 = rename.apply(eq1.lhs), rename.apply(eq1.rhs)
-        l2, r2 = rename.apply(eq2.lhs), rename.apply(eq2.rhs)
-        options1 = [(l1, r1), (r1, l1)]
-        options2 = [(l2, r2), (r2, l2)]
-        for s1 in options1:
-            k1 = _form_exponent(*s1)
-            if k1 is None or k1 < 1:
-                continue
-            for s2 in options2:
-                k2 = _form_exponent(*s2)
-                if k2 == k1:
-                    return {
-                        "applicable": True,
-                        "k": k1,
-                        "renaming": list(perm),
-                        "form": "x1... = x2^k x3...",
-                    }
-    raise TheoremCheckError(
-        "no renaming puts the pair into the guaranteed shape",
-        report={"eq1": eq1.to_text(), "eq2": eq2.to_text()},
-    )
+        return {"applicable": False, "reason": "the form is checked up to 5 unknowns only"}
+    shape = _pair_shape(eq1, eq2)
+    if shape is None:
+        raise TheoremCheckError(
+            "no renaming puts the pair into the guaranteed shape",
+            report={"eq1": eq1.to_text(), "eq2": eq2.to_text()},
+        )
+    renaming, k = shape
+    return {"applicable": True, "k": k, "renaming": renaming, "form": "x1... = x2^k x3..."}
 
 
 def chain_bound(eq1: Equation, k: int, l: int, cover: HyperplaneCover | None = None) -> int:

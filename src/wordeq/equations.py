@@ -19,6 +19,7 @@ from math import lcm
 from .errors import InputFormatError
 from .polynomials import IntPolynomial, encode_poly
 from .words import (
+    MAX_UNKNOWNS,
     LengthType,
     Morphism,
     Word,
@@ -269,7 +270,7 @@ def rational_matrix_rank(rows) -> int:
 
 # --- text formats ---------------------------------------------------------
 
-_INDEXED = re.compile(r"x(\d+)")
+_INDEXED = re.compile(r"x[0-9]+")
 
 
 def _tokenize_side(side: str, lineno: int) -> list[str]:
@@ -278,8 +279,8 @@ def _tokenize_side(side: str, lineno: int) -> list[str]:
         return []
     if any(ch.isspace() for ch in side):
         return side.split()
-    if re.fullmatch(r"(?:x\d+)+", side):
-        return ["x" + i for i in _INDEXED.findall(side)]
+    if re.fullmatch(r"(?:x[0-9]+)+", side):
+        return _INDEXED.findall(side)
     if side.isalpha():
         return list(side)
     raise InputFormatError(f"line {lineno}: cannot tokenize side {side!r}")
@@ -306,6 +307,8 @@ def parse_system(text: str):
             names = line[len("unknowns:") :].split()
             if not names:
                 raise InputFormatError(f"line {lineno}: empty unknown declaration")
+            if len(names) > MAX_UNKNOWNS:
+                raise InputFormatError(f"line {lineno}: more than {MAX_UNKNOWNS} unknowns declared")
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise InputFormatError(f"line {lineno}: unknown {name!r} declared twice")
@@ -319,24 +322,13 @@ def parse_system(text: str):
         raw_eqs.append((lineno, _tokenize_side(left, lineno), _tokenize_side(right, lineno)))
     if not raw_eqs:
         raise InputFormatError("no equations found")
-    all_tokens = [t for _, l, r in raw_eqs for t in l + r]
     if names is None:
-        if all(re.fullmatch(r"x\d+", t) for t in all_tokens):
-            indices = [int(t[1:]) for t in all_tokens]
-            if indices and min(indices) < 1:
-                raise InputFormatError("unknown indices start at 1")
-            names = default_names(max(indices) if indices else 1)
-        else:
-            letters = sorted({t for t in all_tokens})
-            if any(len(t) != 1 for t in letters):
-                raise InputFormatError(
-                    "mixed unknown styles; declare names with an 'unknowns:' line"
-                )
+        letters = sorted({t for _, left, right in raw_eqs for t in left + right})
+        if letters and all(len(t) == 1 for t in letters):
             names = letters
-    n = len(names)
-    index = {name: i for i, name in enumerate(names, start=1)}
+    index = {name: i for i, name in enumerate(names or (), start=1)}
     lines = text.splitlines()
-    equations = []
+    sides = []
     for lineno, left, right in raw_eqs:
         raw = lines[lineno - 1]
 
@@ -350,9 +342,12 @@ def parse_system(text: str):
                 raise InputFormatError(f"line {lineno}, column {col}: {exc}") from None
 
         # resolved indices are at least 1, and the check below bounds them by n
-        lhs = Word._trusted(resolve(t) for t in left)
-        rhs = Word._trusted(resolve(t) for t in right)
+        sides.append((lineno, Word._trusted(map(resolve, left)), Word._trusted(map(resolve, right))))
+    # without declared or letter names the unknowns are x1 .. the largest index written
+    n = len(names) if names else max(max((*lhs, *rhs), default=1) for _, lhs, rhs in sides)
+    equations = []
+    for lineno, lhs, rhs in sides:
         if max((*lhs, *rhs), default=1) > n:
             raise InputFormatError(f"line {lineno}: unknown index exceeds declared count")
         equations.append(Equation(lhs, rhs, n))
-    return equations, names
+    return equations, names or default_names(n)

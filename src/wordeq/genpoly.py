@@ -14,6 +14,7 @@ import re
 from .errors import InputFormatError
 from .equations import Equation, unknown_count
 from .polynomials import IntPolynomial, SparsePoly
+from .words import parse_digits
 
 
 class LinForm(tuple):
@@ -187,7 +188,7 @@ def iso_multivariate(g: GenPoly) -> MultiPoly:
 
 # --- text format ----------------------------------------------------------
 
-_FORM_PART = re.compile(r"^(\d+)?X(\d+)$")
+_FORM_PART = re.compile(r"([0-9]+)?X([0-9]+)")
 
 
 def parse_linform(text: str, n: int) -> LinForm:
@@ -196,11 +197,11 @@ def parse_linform(text: str, n: int) -> LinForm:
         return zero_form(n)
     coeffs = [0] * n
     for part in text.split("+"):
-        m = _FORM_PART.match(part)
+        m = _FORM_PART.fullmatch(part)
         if not m:
             raise InputFormatError(f"cannot parse form part {part!r}")
-        a = int(m.group(1)) if m.group(1) else 1
-        i = int(m.group(2))
+        a = parse_digits(m.group(1) or "1")
+        i = parse_digits(m.group(2))
         if not 1 <= i <= n:
             raise InputFormatError(f"form variable X{i} out of range 1..{n}")
         coeffs[i - 1] += a

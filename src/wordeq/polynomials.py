@@ -19,13 +19,13 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InputFormatError, TheoremCheckError
-from .words import Word, primitive_root
+from .words import Word, parse_digits, primitive_root
 
 # one signed term of the text SparsePoly.to_text writes: a sign (optional on
 # the first term only), coefficient digits and a power X, X^d or X^{form}; a
 # braced form is taken whole and holds no sign but "+", so every sign outside
 # braces starts a term
-_TERM = re.compile(r"([+-]?)(\d*)(X(?:\^(?:\d+|\{[^}]*\}))?)?")
+_TERM = re.compile(r"([+-]?)([0-9]*)(X(?:\^(?:[0-9]+|\{[^}]*\}))?)?")
 
 
 class SparsePoly:
@@ -167,7 +167,8 @@ class SparsePoly:
             sign, digits, power = m.groups("")
             if not (digits or power) or not (sign or pos == 0):
                 raise InputFormatError(f"cannot parse polynomial term at {text[pos:]!r}")
-            terms.append((cls._power_of_text(power, n), int(sign + (digits or "1"))))
+            coeff = parse_digits(digits or "1")
+            terms.append((cls._power_of_text(power, n), -coeff if sign == "-" else coeff))
             pos = m.end()
         return terms
 
@@ -204,7 +205,7 @@ class IntPolynomial(SparsePoly):
     def _power_of_text(power: str, n: int) -> int:
         if "{" in power:
             raise InputFormatError(f"an integer polynomial's power is X or X^d, got {power!r}")
-        return 0 if not power else 1 if power == "X" else int(power[2:])
+        return 0 if not power else 1 if power == "X" else parse_digits(power[2:])
 
     @staticmethod
     def one() -> "IntPolynomial":

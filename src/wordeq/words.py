@@ -182,6 +182,10 @@ def is_periodic(h: Morphism) -> bool:
 # on random 24-letter images expands about 65,000 states
 MAX_RANK_STATES = 10**5
 
+# the length-type walks (oracle.compositions, oracle.balanced_length_types)
+# recurse once per unknown, and Python's default recursion limit is 1000
+MAX_UNKNOWNS = 500
+
 
 @lru_cache(maxsize=1 << 16)
 def _minimal_factor_cover(images: tuple[Word, ...]) -> int:
@@ -245,7 +249,24 @@ def combinatorial_rank(h: Morphism) -> int:
 
 # --- text formats ---------------------------------------------------------
 
-_WORD_BRACKET = re.compile(r"^\[\s*(?:\d+\s*(?:,\s*\d+\s*)*)?\]$")
+# every reader matches ASCII digits only: \d and str.isdigit also accept digits no writer writes
+_DIGITS_RUN = re.compile(r"[0-9]+")
+_WORD_BRACKET = re.compile(r"\[\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?\]")
+_INDEXED = re.compile(r"x([0-9]+)")
+
+
+def parse_digits(text: str) -> int:
+    """The integer a run of ASCII digits writes.
+
+    Raises InputFormatError for anything else, and for a run longer than
+    int() reads (``sys.get_int_max_str_digits``, 4300 digits by default).
+    """
+    if not _DIGITS_RUN.fullmatch(text):
+        raise InputFormatError("expected decimal digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputFormatError(f"a run of {len(text)} digits is too long to read") from None
 
 
 def parse_word(text: str) -> Word:
@@ -253,12 +274,12 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if text in ("eps", "[]", ""):
         return EMPTY_WORD
-    if _WORD_BRACKET.match(text):
+    if _WORD_BRACKET.fullmatch(text):
         inner = text[1:-1].strip()
         if not inner:
             return EMPTY_WORD
-        return Word(int(p) for p in inner.split(","))
-    if text.isdigit():
+        return Word(parse_digits(p.strip()) for p in inner.split(","))
+    if _DIGITS_RUN.fullmatch(text):
         if "0" in text:
             raise InputFormatError(f"word {text!r} contains the letter 0")
         return Word(int(c) for c in text)
@@ -270,12 +291,14 @@ def default_names(n: int) -> list[str]:
 
 
 def resolve_unknown(token: str, names: list[str] | None) -> int:
-    """Map an unknown token to its 1-based index."""
+    """Map an unknown token to its 1-based index: a name, or xi for 1 <= i <= MAX_UNKNOWNS."""
     if names and token in names:
         return names.index(token) + 1
-    m = re.fullmatch(r"x(\d+)", token)
+    m = _INDEXED.fullmatch(token)
     if m:
-        idx = int(m.group(1))
+        idx = parse_digits(m.group(1))
+        if idx > MAX_UNKNOWNS:
+            raise InputFormatError(f"unknown {token[:20]!r} is past the bound of {MAX_UNKNOWNS} unknowns")
         if idx >= 1:
             return idx
     raise InputFormatError(f"unknown token {token!r}")

@@ -18,6 +18,7 @@ from wordeq.cli import _GROUPS, COMMANDS, _human_lines, _json_text, _Parser, run
 from wordeq.polynomials import IntPolynomial
 from wordeq.words import _minimal_factor_cover
 
+import cli_fuzz
 from conftest import random_equation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +255,53 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "input error: the probe walked 10102 length types of 99 unknowns without a witness" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["system", "enumerate", "--max-total", "1", "--alphabet", "1"],
+        ["chain", "check", "--max-total", "1", "--alphabet", "1"],
+        ["system", "independent"],
+        ["pair", "cover"],
+    ], ids=["enumerate", "chain-check", "independent", "pair-cover"])
+    def test_index_past_the_unknown_bound_is_input_error(self, tmp_path, argv):
+        # 2000 unknowns: the type walks would pass Python's recursion limit
+        f = tmp_path / "system.txt"
+        f.write_text("x1 x2 = x2 x1\nx1 = x2000\n")
+        code, out, err = invoke(["--json", *argv[:2], str(f), *argv[2:]])
+        assert (code, out) == (1, "")
+        assert err == "input error: line 2, column 6: unknown 'x2000' is past the bound of 500 unknowns\n"
+
+    @pytest.mark.parametrize("option, argv", [
+        ("length vector", ["eq", "rank", "recipes/inputs/cycle.txt", "--lengths"]),
+        ("alphabet", ["system", "enumerate", "recipes/inputs/cycle.txt", "--alphabet"]),
+        ("index set", ["powerid", "recipes/inputs/telescope.txt", "--indices"]),
+    ], ids=["lengths", "alphabet", "indices"])
+    @pytest.mark.parametrize("value, reason", [
+        ("1,1," + "9" * 5000, "a run of 5000 digits is too long to read"),
+        ("1,٢,3", "expected decimal digits"),
+        ("1,,2", "expected decimal digits"),
+        ("2,-1", "expected decimal digits"),
+    ], ids=["long-run", "arabic-indic", "empty", "sign"])
+    def test_comma_list_options_read_ascii_digits(self, option, argv, value, reason):
+        code, out, err = invoke([*argv, value])
+        assert (code, out) == (1, "")
+        shown = value if len(value) <= 20 else value[:20] + "..."
+        assert err == f"input error: bad {option} {shown!r}: {reason}\n"
+
+    def test_power_identity_words_may_be_bracketed(self, tmp_path):
+        # a comma inside brackets separates letters, not words
+        spec = tmp_path / "spec.txt"
+        spec.write_text("s: [10], eps\nu: [2,10]\nt: eps, [10]\nv: [10,2]\n")
+        report = invoke_json(["--json", "powerid", str(spec), "--indices", "1,2"])
+        assert report["inputs"]["spec"] == {"s": ["[10]", "eps"], "u": ["[2,10]"],
+                                            "t": ["eps", "[10]"], "v": ["[10,2]"]}
+        assert report["results"]["certified"]
+
+    def test_power_identity_key_given_twice_is_input_error(self, tmp_path):
+        # the second line would silently replace the first
+        spec = tmp_path / "spec.txt"
+        spec.write_text("s: 1, eps\nu: 21\nt: eps, 1\nv: 12\ns: 2, eps\n")
+        code, out, err = invoke(["--json", "powerid", str(spec), "--indices", "1,2"])
+        assert (code, out, err) == (1, "", "input error: line 5: duplicate key 's'\n")
 
     def test_unknown_flag(self):
         code, _, err = invoke(["encode", "--frobnicate", "1"])
@@ -644,6 +692,14 @@ def test_budget_past_the_candidate_bound_exits_before_any_scan():
                           capture_output=True, timeout=10)
     assert proc.returncode == 1
     assert f"more than {oracle.MAX_CANDIDATES}".encode() in proc.stderr
+
+
+def test_seeded_fuzz_sample(tmp_path):
+    # every query exits 0 or 1, raises nothing out of run and ends within the cap;
+    # tests/cli_fuzz.py runs longer seeded samples
+    found, codes = cli_fuzz.failures(seed=31, queries=600, directory=tmp_path, cap_s=2.0)
+    assert found == []
+    assert codes[0] >= 100 and codes[1] >= 100
 
 
 class TestRecipes:

@@ -28,8 +28,9 @@ from wordeq.oracle import MAX_CANDIDATES
 
 import chain_reference
 from chain_reference import listing_balance_check, listing_chain_check, listing_first_escape
-from conftest import eq1, eqs, morphism
-from cover_reference import exhaustive_choice, exhaustive_pairs
+from conftest import eq1, eqs, morphism, random_equation
+from cover_reference import exhaustive_choice, exhaustive_pairs, table_planes
+from pairform_reference import renamed_exponents, renaming_search, table_search
 
 
 class TestCoverPair:
@@ -122,6 +123,19 @@ class TestPairChoiceMatchesExhaustive:
         cover = cover_pair(e1, e2)
         assert (cover.k, cover.l, cover.minor_terms_after) == (want[0], want[1], want[2].term_count)
         return True
+
+    def test_unknowns_absent_from_the_pair(self):
+        # a minor with an absent unknown is zero, so walking only the unknowns
+        # that occur picks the exhaustive search's pair
+        rng = random.Random(3113)
+        chosen = 0
+        for _ in range(60):
+            present = rng.sample(range(1, 13), rng.randint(2, 4))
+            e1, e2 = (Equation(*(tuple(rng.choice(present) for _ in range(rng.randint(1, 4)))
+                                 for _ in "lr"), 12) for _ in "12")
+            if not (e1.is_trivial or e2.is_trivial):
+                chosen += self._same_choice(e1, e2)
+        assert chosen >= 20
 
     def test_seeded_pairs_of_two_to_five_unknowns(self):
         rng = random.Random(2611)
@@ -317,6 +331,102 @@ class TestPairForm:
         trivial = Equation((1, 2), (1, 2), 3)
         report = pair_form_check(e1, trivial, morphism((1,), (2,), (1, 2)))
         assert not report["applicable"]
+
+
+def _shape_pool(rng, n, size):
+    """size different equations over n unknowns, every other one built in the form a... = b^k c...
+
+    The built ones draw (a, b, c, k) from two keys of this pool, so that many
+    pairs share one; either side may come first, and random tails make the
+    other orientation read in some form too, now and then.
+    """
+    keys = [(rng.sample(range(1, n + 1), 3), rng.randint(1, 3)) for _ in range(2)]
+    pool = {}
+    while len(pool) < size:
+        if len(pool) % 2:
+            eq = random_equation(rng, n)
+        else:
+            (a, b, c), k = rng.choice(keys)
+            p = (a, *(rng.randint(1, n) for _ in range(rng.randint(0, 2))))
+            q = (b,) * k + (c, *(rng.randint(1, n) for _ in range(rng.randint(0, 2))))
+            eq = Equation(*((p, q) if rng.random() < 0.5 else (q, p)), n)
+        pool[eq] = None
+    return list(pool)
+
+
+class TestPairShapeMatchesSearch:
+    """The shape read from the orientations is the one the renaming search finds."""
+
+    def test_every_pair_of_seeded_pools_of_three_to_six_unknowns(self):
+        rng = random.Random(3103)
+        pairs = shaped = 0
+        exponents, orientations = set(), set()
+        # pools shrink as the tables grow (n! renamings): 20,125 pairs in all
+        for n, size in ((3, 90), (4, 80), (5, 60), (6, 45)):
+            pool = _shape_pool(rng, n, size)
+            table = {eq: renamed_exponents(eq) for eq in pool}
+            for e1 in pool:
+                for e2 in pool:
+                    got = covers._pair_shape(e1, e2)
+                    assert got == table_search(n, table[e1], table[e2]), (e1, e2)
+                    pairs += 1
+                    if got is not None:
+                        renaming, k = got
+                        a = renaming.index(1) + 1
+                        shaped += 1
+                        exponents.add(k)
+                        orientations.update((e1.lhs[:1] == (a,), e2.lhs[:1] == (a,)))
+        assert pairs >= 20000 and shaped >= 500
+        assert max(exponents) >= 2 and orientations == {True, False}
+
+    def test_search_itself_on_seeded_pairs(self):
+        # the per-equation tables above stand for the search loop; check them against it
+        rng = random.Random(3107)
+        for n in (3, 4, 5):
+            pool = _shape_pool(rng, n, 8)
+            table = {eq: renamed_exponents(eq) for eq in pool}
+            for e1 in pool:
+                for e2 in pool:
+                    want = renaming_search(e1, e2)
+                    assert table_search(n, table[e1], table[e2]) == want
+                    assert covers._pair_shape(e1, e2) == want
+
+    def test_least_renaming_of_two_matches(self):
+        # both orientations of both equations read a... = b c..., with (a, b, c)
+        # = (x3, x2, x1) and (x2, x3, x1): renamings [3, 2, 1, 4] and [3, 1, 2, 4]
+        e1, e2 = eqs("x3 x1 = x2 x1\nx2 x1 x4 = x3 x1 x4")
+        assert covers._pair_shape(e1, e2) == ([3, 1, 2, 4], 1) == renaming_search(e1, e2)
+
+    def test_shared_exponent_required(self):
+        # x1 x1 = x2 x3 reads (x1, x2, x3) with k = 1, and x1 x1 = x2 x2 x3 with k = 2
+        e1, e2 = eqs("x1 x1 = x2 x3\nx1 x1 = x2 x2 x3")
+        assert covers._pair_shape(e1, e2) is None
+        assert renaming_search(e1, e2) is None
+
+
+class TestCoverFamiliesMatchTable:
+    """The families derived from the minor's sign rule give the table's planes, in order."""
+
+    def test_every_nonzero_minor_of_seeded_pairs_in_both_modes(self):
+        rng = random.Random(3109)
+        compared = 0
+        while compared < 600:
+            n = rng.randint(2, 5)
+            e1, e2 = random_equation(rng, n), random_equation(rng, n)
+            if e1.is_trivial or e2.is_trivial:
+                continue
+            for k in range(1, n + 1):
+                for l in range(k + 1, n + 1):
+                    try:
+                        minimal = cover_pair(e1, e2, kl=(k, l))
+                    except CoverError:
+                        continue
+                    full = cover_pair(e1, e2, kl=(k, l), full_pairing=True)
+                    for cover, mode in ((minimal, False), (full, True)):
+                        want = table_planes(e1, e2, k, l, full_pairing=mode)
+                        got = [(pl.p, pl.q) for pl in cover.planes]
+                        assert got == [(pl.p, pl.q) for pl in want], (e1, e2, k, l, mode)
+                    compared += 1
 
 
 class TestChain:

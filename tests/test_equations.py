@@ -22,6 +22,7 @@ from wordeq import (
     residual,
 )
 from wordeq.equations import rational_matrix_rank
+from wordeq.words import MAX_UNKNOWNS
 from wordeq.oracle import _solution_set_keys, length_types_up_to
 
 from conftest import eq1, eqs, morphism, random_equation
@@ -465,6 +466,23 @@ class TestParsing:
         # the second line would silently replace the first
         with pytest.raises(InputFormatError, match="line 3: second unknown declaration"):
             parse_system("unknowns: x y\n# renamed\nunknowns: a b\na = b")
+
+    def test_unknown_bound(self):
+        # the length-type walks recurse once per unknown, so no file may name more than MAX_UNKNOWNS
+        eqlist, names = parse_system(f"x1 x2 = x2 x1\nx1 = x{MAX_UNKNOWNS}")
+        assert eqlist[0].n == len(names) == MAX_UNKNOWNS
+        for index in (MAX_UNKNOWNS + 1, 2000, 10**8, "9" * 5000):
+            with pytest.raises(InputFormatError, match="line 2, column 6: "):
+                parse_system(f"x1 x2 = x2 x1\nx1 = x{index}")
+        declared = " ".join(f"y{i}" for i in range(MAX_UNKNOWNS))
+        assert len(parse_system(f"unknowns: {declared}\ny0 y1 = y1 y0")[1]) == MAX_UNKNOWNS
+        with pytest.raises(InputFormatError, match=f"line 1: more than {MAX_UNKNOWNS} unknowns declared"):
+            parse_system(f"unknowns: {declared} z\ny0 y1 = y1 y0")
+
+    def test_indices_in_ascii_digits_only(self):
+        for text in ("x1 = x٣", "x١ = x1", "x1 x٢ = x2"):
+            with pytest.raises(InputFormatError):
+                parse_system(text)
 
     def test_single_equation_helper(self):
         eq, names = parse_equation("x y = y x")

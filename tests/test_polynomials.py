@@ -173,6 +173,21 @@ class TestTextReader:
                     reader(text)
 
 
+    @pytest.mark.parametrize("text, kinds", [
+        ("1" * 5000, ("int", "gen")),
+        ("١X", ("int", "gen")),
+        ("X^" + "1" * 5000, ("int",)),
+        ("X^٢", ("int",)),
+        ("X^{" + "1" * 5000 + "X1}", ("gen",)),
+        ("X^{X١}", ("gen",)),
+    ])
+    def test_digit_runs_refused(self, text, kinds):
+        # int() takes digits outside ASCII and refuses runs past its digit limit with a plain ValueError
+        for kind in kinds:
+            with pytest.raises(InputFormatError):
+                _READERS[kind][0](text)
+
+
 class TestCyclotomic:
     def test_orders_dividing_m_multiply_to_x_power_minus_one(self):
         for m in range(1, 61):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wordeq import (
+    InputFormatError,
     LengthType,
     Morphism,
     Word,
@@ -76,6 +77,21 @@ class TestWord:
     def test_parse_rejects_zero_letter(self):
         with pytest.raises(ValueError):
             parse_word("102")
+
+    @pytest.mark.parametrize("text", ["²", "١٢", "1٢", "[١٠,2]", "[" + "9" * 5000 + "]"],
+                             ids=["superscript", "arabic-indic", "mixed", "bracketed-arabic-indic", "long-run"])
+    def test_parse_reads_ascii_digits_only(self, text):
+        # str.isdigit and int() also take these; a run past int()'s digit limit is an input error too
+        with pytest.raises(InputFormatError):
+            parse_word(text)
+
+    def test_digit_runs(self):
+        assert words.parse_digits("0012") == 12
+        for text in ("", "+1", "-1", " 1", "1_000", "٣"):
+            with pytest.raises(InputFormatError, match="expected decimal digits"):
+                words.parse_digits(text)
+        with pytest.raises(InputFormatError, match="a run of 5000 digits is too long to read"):
+            words.parse_digits("1" * 5000)
 
     def test_word_is_its_letter_tuple(self):
         w = Word((1, 2, 1))
